@@ -143,10 +143,6 @@ def _from_canonical(
     return FiniteMeasure(tuple(support), tuple(_renormalized(list(weights))), float(upper))
 
 
-def cum_weights(m: FiniteMeasure) -> tuple[float, ...]:
-    return tuple(accumulate(m.weights))
-
-
 def cdf(m: FiniteMeasure, t: float) -> float:
     """P(xi <= t); right-continuous step function with cdf(m, upper) == 1."""
     k = bisect_right(m.support, t)

@@ -51,8 +51,9 @@ class ProblemSpec:
         if not (self.M > 0.0 and math.isfinite(self.M)):
             raise ValueError(f"M must be a finite positive real, got {self.M}")
         if self.kind is ProblemKind.NEWSVENDOR:
-            if self.c_u is None or self.c_o is None or self.c_u <= 0.0 or self.c_o <= 0.0:
-                raise ValueError("newsvendor needs c_u > 0 and c_o > 0")
+            for name, value in (("c_u", self.c_u), ("c_o", self.c_o)):
+                if value is None or not (value > 0.0 and math.isfinite(value)):
+                    raise ValueError(f"newsvendor needs a finite {name} > 0, got {value}")
         elif self.kind is ProblemKind.SKI_RENTAL:
             if self.b is None or not (0.0 < self.b < self.M):
                 raise ValueError("ski rental needs 0 < b < M")
@@ -103,7 +104,7 @@ class ProblemSpec:
                 b, M = args
                 return cls.ski_rental(b, M)
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"cannot parse problem text {text!r}") from exc
+            raise ValueError(f"cannot parse problem text {text!r}: {exc}") from exc
         raise ValueError(f"unknown problem {name!r}")
 
 
@@ -191,7 +192,11 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
     newsvendor: the critical-fractile quantile.  pricing: the support point
     with maximal revenue s * P(xi >= s).  ski rental: the cheapest of
     {0} union support(m); the expected cost is nondecreasing between atoms,
-    so this candidate set contains a global minimizer.
+    so this candidate set contains a global minimizer.  One O(k) pass of
+    running sums screens the candidates' costs; only those within a proven
+    rounding bound of the screened minimum are re-costed exactly with
+    :func:`expected_objective`, so the action is the one an exact argmin
+    over all candidates returns, ties included.
     """
     if m.upper > p.M:
         raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
@@ -206,12 +211,38 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
                 best_s, best_rev = s, rev
             remaining -= w
         return best_s
-    candidates = [0.0] + [s for s in m.support if s > 0.0]
-    best_x, best_cost = candidates[0], math.inf
-    for x in candidates:
-        c = expected_objective(p, x, m)
-        if c < best_cost:
-            best_x, best_cost = x, c
+    # Screen: the cost of x is E[xi; xi <= x] + (b + x) * P(xi > x), from
+    # running sums.  An atom at 0 lies in the prefix of x = 0.
+    b = p.b
+    moment = 0.0
+    mass = m.weights[0] if m.support[0] <= 0.0 else 0.0
+    candidates = [0.0]
+    screened = [b * (1.0 - mass)]
+    for s, w in zip(m.support, m.weights):
+        if s > 0.0:
+            moment += w * s
+            mass += w
+            candidates.append(s)
+            screened.append(moment + (b + s) * (1.0 - mass))
+    # Rounding bound, u = 2**-53, n atoms, every atom and x in [0, M].  Let
+    # C be a candidate's cost with the rounded b + x (<= (b + M)(1 + u)).
+    # The exact path's value F (fsum of rounded products) has |F - C| <=
+    # 3u(b + M).  The screen's running sums err by at most n*u*M (moment)
+    # and n*u (mass); the weights sum to 1 within 2u (renormalisation); the
+    # subtraction, product and final sum add 3u(b + M).  So |S - C| <=
+    # (n + 6)u(2M + b) and |F - S| <= E = (n + 9)u(2M + b), up to factors
+    # 1 + O(n*u).  A candidate whose S exceeds min(S) + 2E costs strictly
+    # more than the screened minimum's F, so it is neither the minimum nor
+    # a tie of it; the cut below is 4 * 2E, which also absorbs its own
+    # rounding.  When every candidate ties (ski_indifference_measure) all
+    # are kept and the exact loop is the plain argmin.
+    cut = min(screened) + 8.0 * (len(m.support) + 9) * 2.0**-53 * (2.0 * p.M + b)
+    best_x, best_cost = 0.0, math.inf
+    for x, s in zip(candidates, screened):
+        if s <= cut:
+            c = expected_objective(p, x, m)
+            if c < best_cost:
+                best_x, best_cost = x, c
     return best_x
 
 

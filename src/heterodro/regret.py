@@ -151,7 +151,8 @@ def monte_carlo_regret(
 
     Each trial draws one sample from every nu_i, forms the empirical measure,
     and applies the policy.  Trial t uses the generator seeded by (seed, t),
-    so results are independent of how trials are scheduled.
+    so results are independent of how trials are scheduled.  Every nu_i must
+    live on mu's interval.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -160,13 +161,23 @@ def monte_carlo_regret(
         raise ValueError("need at least one historical measure")
     opt_mu = opt_value(p, mu)
 
-    union = sorted({pt for nu in nus for pt in nu.support})
+    # Group identical historical measures so each group samples in one shot.
+    # Histories usually repeat a few objects, so columns are grouped by
+    # identity first (O(n)) and the O(atoms) work is paid once per object.
+    columns_of_id: dict[int, list[int]] = {}
+    for i, ident in enumerate(map(id, nus)):
+        columns_of_id.setdefault(ident, []).append(i)
+    columns_of: dict[tuple, list[int]] = {}
+    for cols in columns_of_id.values():
+        nu = nus[cols[0]]
+        if nu.upper != mu.upper:
+            raise ValueError(
+                f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]"
+            )
+        columns_of.setdefault((nu.support, nu.weights), []).extend(cols)
+    union = sorted({pt for sup, _ in columns_of for pt in sup})
     union_arr = np.asarray(union)
     index_of = {pt: i for i, pt in enumerate(union)}
-    # group identical historical measures so each group samples in one shot
-    columns_of: dict[tuple, list[int]] = {}
-    for i, nu in enumerate(nus):
-        columns_of.setdefault((nu.support, nu.weights), []).append(i)
     plans = [
         (
             np.cumsum(wts),
@@ -251,6 +262,15 @@ def ski_indifference_measure(M: int, b: int) -> FiniteMeasure:
 
 def _two_point(p0: float, w0: float, p1: float, w1: float, upper: float) -> FiniteMeasure:
     return make_finite_measure([p0, p1], [w0, w1], upper)
+
+
+def _integer_param(params: dict, name: str, default: int | None = None) -> int:
+    """An integer-valued family parameter; a fractional value is an error,
+    never truncated into a different instance."""
+    value = params[name] if default is None else params.get(name, default)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ValueError(f"parameter {name} must be an integer, got {value}")
+    return int(value)
 
 
 def _build_nv_tv_pair(params: dict) -> AdversarialPair:
@@ -352,8 +372,8 @@ def _build_pr_w_lower(params: dict) -> AdversarialPair:
 
 
 def _build_ski_k_saa_fail(params: dict) -> AdversarialPair:
-    M = int(params.get("M", 10))
-    b = int(params.get("b", 3))
+    M = _integer_param(params, "M", 10)
+    b = _integer_param(params, "b", 3)
     eps = float(params["eps"])
     alpha = float(params.get("alpha", eps / 2.0))
     kind = params.get("kind", DistanceKind.TOTAL_VARIATION)
@@ -472,7 +492,7 @@ def _build_ski_w_lower(params: dict) -> AdversarialPair:
 
 
 def _build_hetero_helps(params: dict) -> AdversarialPair:
-    k = int(params["k"])
+    k = _integer_param(params, "k")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     b = 2 * k + 1
@@ -560,6 +580,17 @@ class ScanGrid:
         if len(self.locations) < 1 or list(self.locations) != sorted(set(self.locations)):
             raise ValueError("locations must be sorted and distinct")
 
+    @property
+    def measure_count(self) -> int:
+        """Number of measures :func:`enumerate_grid_measures` yields: for each
+        atom count a, C(L, a) location subsets times C(res - 1, a - 1)
+        compositions of the resolution into a positive parts."""
+        L, res = len(self.locations), self.weight_resolution
+        return sum(
+            math.comb(L, a) * math.comb(res - 1, a - 1)
+            for a in range(1, min(self.max_atoms, L) + 1)
+        )
+
 
 def enumerate_grid_measures(grid: ScanGrid, upper: float) -> list[FiniteMeasure]:
     """All grid measures on [0, upper], in a fixed deterministic order."""
@@ -619,10 +650,10 @@ def dro_regret_scan(
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    measures = enumerate_grid_measures(grid, p.M)
-    n = len(measures)
+    n = grid.measure_count
     if n * n > grid.max_pairs:
         raise GridTooLarge(f"{n * n} pairs exceed the cap {grid.max_pairs}")
+    measures = enumerate_grid_measures(grid, p.M)
 
     locs = np.asarray(grid.locations)
     W = _weights_matrix(measures, grid.locations)

@@ -219,6 +219,38 @@ class TestCommands:
         assert main(["oracle", "--problem", "auction:1", "--measure", "0.5:1.0@1.0"]) == 2
         assert main(["distance", "--kind", "hellinger", "--a", "0:1@1", "--b", "0:1@1"]) == 2
 
+    @pytest.mark.parametrize(
+        "problem, name",
+        [
+            ("newsvendor:nan,1,1", "c_u"),
+            ("newsvendor:inf,1,1", "c_u"),
+            ("newsvendor:1,nan,1", "c_o"),
+            ("newsvendor:1,-inf,1", "c_o"),
+        ],
+    )
+    def test_non_finite_newsvendor_cost_exits_2(self, capsys, problem, name):
+        assert main(["oracle", "--problem", problem, "--measure", "0.5:1.0@1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and name in line
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("hetero_helps", "k=1.7", "parameter k must be an integer, got 1.7"),
+            ("ski_k_saa_fail", "M=10.9,b=3,eps=0.01", "parameter M must be an integer, got 10.9"),
+            ("ski_k_saa_fail", "M=10,b=3.5,eps=0.01", "parameter b must be an integer, got 3.5"),
+        ],
+    )
+    def test_fractional_integer_parameter_exits_2(self, capsys, name, params, message):
+        # never truncated into a different instance
+        assert main(["adversarial", "--name", name, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_strict_violation_exits_3(self, capsys):
         # SAA on the truth has zero regret, far below the pricing/W lower
         # bound M, so --strict flags the sandwich violation

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterodro.measures import make_finite_measure
 from heterodro.metrics import wasserstein1
@@ -141,6 +145,91 @@ class TestOracle:
     def test_pricing_tie_breaks_small(self):
         m = make_finite_measure([0.5, 1.0], [0.5, 0.5], 1)
         assert oracle(PR, m) == 0.5
+
+
+def reference_ski_oracle(p, m):
+    """The exhaustive ski-rental argmin: every candidate of {0} union
+    support(m) costed with the exact fsum, in order, strict < (so ties go
+    to the smallest action)."""
+    candidates = [0.0] + [s for s in m.support if s > 0.0]
+    best_x, best_cost = candidates[0], math.inf
+    for x in candidates:
+        c = expected_objective(p, x, m)
+        if c < best_cost:
+            best_x, best_cost = x, c
+    return best_x
+
+
+@st.composite
+def ski_instances(draw):
+    """(problem, measure) with real or integer atoms, optionally one at 0.
+
+    Weights come from a skewed Dirichlet or from empirical counts (whose
+    rational costs tie often).  The third shape is an indifference measure
+    scaled by a real factor: every candidate ties exactly in real
+    arithmetic, and only rounding separates them.
+    """
+    shape = draw(st.sampled_from(["real", "integer", "scaled_indifference"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "scaled_indifference":
+        M0 = draw(st.integers(3, 40))
+        b0 = draw(st.integers(2, M0 - 1))
+        c = draw(st.floats(0.01, 100.0))
+        base = ski_indifference_measure(M0, b0)
+        M, b = M0 * c, b0 * c
+        pts = np.asarray(base.support) * c
+        wts = np.asarray(base.weights)
+        # mass at 0 costs nothing for every candidate, so ties survive it
+        if draw(st.booleans()):
+            pts = np.concatenate([[0.0], pts])
+            wts = np.concatenate([[draw(st.floats(0.01, 0.9))], wts])
+            wts = wts / wts.sum()
+        return ProblemSpec.ski_rental(b, M), make_finite_measure(pts.tolist(), wts.tolist(), M)
+    if shape == "integer":
+        M = float(draw(st.integers(3, 300)))
+        b = float(draw(st.integers(1, int(M) - 1)))
+        k = draw(st.integers(1, min(int(M), 60)))
+        pts = rng.choice(np.arange(1, int(M) + 1), size=k, replace=False).astype(float)
+    else:
+        M = draw(st.floats(0.5, 500.0))
+        b = draw(st.floats(0.01, 0.99)) * M
+        k = draw(st.integers(1, 60))
+        pts = rng.uniform(0.0, M, size=k)
+    if draw(st.booleans()):
+        pts[0] = 0.0
+    if draw(st.booleans()):
+        wts = rng.dirichlet(np.full(k, draw(st.sampled_from([0.05, 0.3, 1.0, 5.0]))))
+    else:
+        n = draw(st.integers(1, 400))
+        wts = np.bincount(rng.integers(0, k, size=n), minlength=k) / n
+    if not wts.any():
+        wts[0] = 1.0
+    return ProblemSpec.ski_rental(b, M), make_finite_measure(pts.tolist(), wts.tolist(), M)
+
+
+class TestSkiOracleScreen:
+    """The screened ski oracle returns the exhaustive argmin bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ski_instances())
+    def test_matches_reference(self, instance):
+        p, m = instance
+        assert oracle(p, m).hex() == reference_ski_oracle(p, m).hex()
+
+    @pytest.mark.parametrize("M", range(3, 41))
+    def test_indifference_measures(self, M):
+        for b in range(2, M):
+            p, m = ProblemSpec.ski_rental(b, M), ski_indifference_measure(M, b)
+            assert oracle(p, m).hex() == reference_ski_oracle(p, m).hex()
+
+    def test_empirical_histories(self, rng):
+        # the Monte-Carlo use: empirical measures of integer-day samples
+        p = ProblemSpec.ski_rental(97, 250)
+        for _ in range(50):
+            xs = rng.integers(1, 251, size=int(rng.integers(1, 300)))
+            vals, counts = np.unique(xs, return_counts=True)
+            m = make_finite_measure(vals.tolist(), (counts / len(xs)).tolist(), 250)
+            assert oracle(p, m).hex() == reference_ski_oracle(p, m).hex()
 
 
 class TestOracleBruteForce:

@@ -6,6 +6,7 @@ import pytest
 from heterodro.measures import cdf, make_finite_measure, mean
 from heterodro.metrics import DistanceKind, distance, kolmogorov, total_variation, wasserstein1
 from heterodro.policies import PolicySpec, recommended_parameter
+from heterodro import regret
 from heterodro.problems import ProblemSpec, expected_objective, oracle
 from heterodro.regret import (
     AdversarialPair,
@@ -98,6 +99,35 @@ class TestMonteCarlo:
         a = monte_carlo_regret(p, SAA, mu, nus, trials=50, seed=7)
         b = monte_carlo_regret(p, SAA, mu, nus, trials=50, seed=7)
         assert a == b
+
+    def test_report_independent_of_history_objects(self, rng):
+        # Setup groups histories by object and then by content; the report
+        # depends only on the contents, in column order.
+        p = ProblemSpec.ski_rental(60, 100)
+        pts = np.sort(rng.choice(np.arange(1, 101), size=40, replace=False)).astype(float)
+
+        def wide():
+            return make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(40)).tolist(), 100)
+
+        def copy(m):
+            return make_finite_measure(list(m.support), list(m.weights), m.upper)
+
+        mu, a, b = wide(), wide(), wide()
+        n = 60
+        same = monte_carlo_regret(p, SAA, mu, [a] * n, trials=5, seed=9)
+        copies = [copy(a) for _ in range(n)]
+        assert len({id(m) for m in copies}) == n and copies[0] == a
+        assert monte_carlo_regret(p, SAA, mu, copies, trials=5, seed=9) == same
+
+        mixed = monte_carlo_regret(p, SAA, mu, [a, b] * (n // 2), trials=5, seed=9)
+        interleaved = [m if i % 3 else copy(m) for i, m in enumerate([a, b] * (n // 2))]
+        assert monte_carlo_regret(p, SAA, mu, interleaved, trials=5, seed=9) == mixed
+        assert same.estimate > 0.0 and mixed.estimate > 0.0 and mixed != same
+
+    def test_history_interval_must_match_mu(self):
+        p = ProblemSpec.ski_rental(3, 10)
+        with pytest.raises(ValueError, match="historical measure on"):
+            monte_carlo_regret(p, SAA, delta(4, 10), [delta(4, 10), delta(4, 5)], 3, 1)
 
 
 class TestExhaustiveTwoSample:
@@ -303,6 +333,20 @@ class TestScan:
         ms = enumerate_grid_measures(grid, 1.0)
         # 2 point masses + 3 interior weightings of the pair
         assert len(ms) == 5
+        for shape in [((0.0, 0.3, 0.7, 1.0), 7, 3), ((0.1, 0.2, 0.5), 5, 4), ((0.5,), 9, 2)]:
+            grid = ScanGrid(*shape)
+            assert grid.measure_count == len(enumerate_grid_measures(grid, 1.0))
+
+    def test_grid_too_large_checked_before_enumerating(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumerated an oversized grid")
+
+        monkeypatch.setattr(regret, "enumerate_grid_measures", fail)
+        grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), weight_resolution=20, max_atoms=4)
+        n = 18_246
+        assert grid.measure_count == n
+        with pytest.raises(GridTooLarge, match=rf"^{n * n} pairs exceed the cap 10000000$"):
+            dro_regret_scan(ProblemSpec.pricing(1), SAA, K, 0.1, grid)
 
     def test_vectorized_distances_match_metrics(self, rng):
         locs = (0.0, 0.3, 0.7, 1.0)
