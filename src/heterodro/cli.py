@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -108,15 +109,15 @@ class ExperimentConfig:
     mode: str = "adversarial-named"
     family: str | None = None
     family_params: dict = field(default_factory=dict)
-    grid: ScanGrid | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if not self.eps_grid:
             raise ConfigInvalid("eps_grid must be nonempty")
-        if any(e <= 0.0 for e in self.eps_grid):
-            raise ConfigInvalid("eps values must be positive")
+        for e in self.eps_grid:
+            if not 0.0 < e < math.inf:
+                raise ConfigInvalid(f"eps_grid values must be finite and positive, got {e}")
         if list(self.eps_grid) != sorted(self.eps_grid):
             raise ConfigInvalid("eps_grid must be sorted ascending")
         if self.n < 1 or self.trials < 1:
@@ -177,6 +178,22 @@ def _resolve_policy(cfg: ExperimentConfig, eps: float) -> PolicySpec:
     return recommended_parameter(cfg.problem, cfg.kind, eps)
 
 
+def _named_report(
+    pair: AdversarialPair, pol: PolicySpec | None, bounds: tuple | None, seed: int
+) -> RegretReport:
+    """The value ``pair`` certifies under ``pol``, bracketed by its target and
+    by the upper bound of ``bounds_for_policy(*bounds)`` (else the target)."""
+    estimate = evaluate_pair(pair, pol)
+    _, hi = bounds_for_policy(*bounds) if bounds is not None else (None, None)
+    return RegretReport(
+        estimate=estimate,
+        analytic_lower=pair.target,
+        analytic_upper=hi if hi is not None else pair.target,
+        witness=pair,
+        seed=seed,
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | None, str]]:
     """One report per eps (ordered); eps values outside a construction's
     validity range yield (eps, None, warning) instead of aborting the sweep."""
@@ -185,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
         try:
             pol = _resolve_policy(cfg, eps)
             if cfg.mode == "dro-scan":
-                grid = cfg.grid or default_scan_grid(cfg.problem, cfg.kind, pol, eps)
+                grid = default_scan_grid(cfg.problem, cfg.kind, pol, eps)
                 report = dro_regret_scan(cfg.problem, pol, cfg.kind, eps, grid)
             else:
                 name = cfg.family or default_family(cfg.problem, cfg.kind, pol)
@@ -193,15 +210,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                     name, _family_params(cfg.problem, cfg.kind, eps, cfg.family_params)
                 )
                 if cfg.mode == "adversarial-named":
-                    estimate = evaluate_pair(pair, None if pair.cited_policy is None else pol)
-                    _, hi = bounds_for_policy(cfg.problem, cfg.kind, pol, eps)
-                    report = RegretReport(
-                        estimate=estimate,
-                        analytic_lower=pair.target,
-                        analytic_upper=hi if hi is not None else pair.target,
-                        witness=pair,
-                        seed=cfg.seed,
-                    )
+                    eval_pol = None if pair.cited_policy is None else pol
+                    bounds = (cfg.problem, cfg.kind, pol, eps)
+                    report = _named_report(pair, eval_pol, bounds, cfg.seed)
                 else:  # monte-carlo
                     reps = (cfg.n + len(pair.nus) - 1) // len(pair.nus)
                     nus = (pair.nus * reps)[: cfg.n]
@@ -209,15 +220,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                         cfg.problem, pol, pair.mu, nus, cfg.trials, cfg.seed
                     )
                     lo, hi = bounds_for_policy(cfg.problem, cfg.kind, pol, eps)
-                    report = RegretReport(
-                        estimate=report.estimate,
-                        ci_half_width=report.ci_half_width,
-                        analytic_lower=lo,
-                        analytic_upper=hi,
-                        witness=pair,
-                        n=report.n,
-                        trials=report.trials,
-                        seed=report.seed,
+                    report = dataclasses.replace(
+                        report, analytic_lower=lo, analytic_upper=hi, witness=pair
                     )
             results.append((eps, report, ""))
         except ValueError as exc:
@@ -309,6 +313,11 @@ def _parse_params(specs: list[str]) -> dict:
                 raise ConfigInvalid(f"bad --params entry {item!r}, expected key=value")
             out[key.strip()] = float(value)
     return out
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{name} must be finite, got {value}")
 
 
 def _violation(mode: str, report: RegretReport | None) -> bool:
@@ -437,6 +446,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "regret":
+        if args.eps is not None:
+            _check_finite("--eps", args.eps)
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
         mu, nu = from_text(args.mu), from_text(args.nu)
@@ -453,6 +464,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 3 if args.strict and _violation("regret", report) else 0
 
     if cmd == "dro-scan":
+        _check_finite("--eps", args.eps)
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
         kind = DistanceKind.from_text(args.kind)
@@ -474,19 +486,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             params["kind"] = DistanceKind.from_text(args.kind)
         pair = adversarial_instance(args.name, params)
         pol = PolicySpec.from_text(args.policy) if args.policy else pair.cited_policy
-        estimate = evaluate_pair(pair, pol)
-        _, hi = (
-            bounds_for_policy(pair.problem, pair.kind, pol, pair.eps)
-            if pol is not None
-            else (None, None)
-        )
-        report = RegretReport(
-            estimate=estimate,
-            analytic_lower=pair.target,
-            analytic_upper=hi if hi is not None else pair.target,
-            witness=pair,
-            seed=args.seed,
-        )
+        bounds = (pair.problem, pair.kind, pol, pair.eps) if pol is not None else None
+        report = _named_report(pair, pol, bounds, args.seed)
         pol_text = pol.to_text() if pol is not None else "minimax"
         row = make_row("adversarial-named", pair.problem, pair.kind, pol_text, pair.eps, report)
         _emit(rows_to_csv([row]), args.out)

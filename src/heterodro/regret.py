@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import FiniteMeasure, _from_canonical, make_finite_measure
-from .metrics import BALL_SLACK, DistanceKind, distance, in_ball
+from .metrics import BALL_SLACK, DistanceKind, distance_terms, in_ball, weights_on
 from .policies import PolicyKind, PolicySpec, apply_policy, recommended_parameter
 from .problems import (
     ProblemKind,
@@ -31,6 +31,9 @@ from .problems import (
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# Rows of mu measures per distance block in dro_regret_scan; a block holds
+# _SCAN_BLOCK x n x L floats.
+_SCAN_BLOCK = 128
 
 
 class UnknownName(ValueError):
@@ -72,7 +75,6 @@ class AdversarialPair:
     kind: DistanceKind
     eps: float
     target: float | None = None
-    target_note: str = ""
     cited_policy: PolicySpec | None = None
 
     def __post_init__(self) -> None:
@@ -298,7 +300,6 @@ def _build_nv_tv_pair(params: dict) -> AdversarialPair:
         kind=kind,
         eps=eps,
         target=(c_u + c_o) * M * shift,
-        target_note="exact SAA regret on the witness",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -321,7 +322,6 @@ def _build_pr_k_pair(params: dict) -> AdversarialPair:
         kind=kind,
         eps=eps,
         target=M * eps,
-        target_note="exact SAA regret on the witness",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -344,7 +344,6 @@ def _build_pr_w_saa_fail(params: dict) -> AdversarialPair:
         kind=DistanceKind.WASSERSTEIN,
         eps=eps,
         target=M - eta,
-        target_note="exact SAA regret: the posted price overshoots every value",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -366,7 +365,6 @@ def _build_pr_w_lower(params: dict) -> AdversarialPair:
         kind=DistanceKind.WASSERSTEIN,
         eps=eps,
         target=math.sqrt(M * eps) / 4.0,
-        target_note="fixed-action minimax lower bound over {mu, nu}",
         cited_policy=None,
     )
 
@@ -408,7 +406,6 @@ def _build_ski_k_saa_fail(params: dict) -> AdversarialPair:
         kind=kind,
         eps=eps,
         target=target,
-        target_note="exact SAA regret in the known-historical-distribution limit",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -434,7 +431,6 @@ def _build_ski_k_lower(params: dict) -> AdversarialPair:
         kind=kind,
         eps=eps,
         target=eps * b / 8.0,
-        target_note="fixed-action minimax lower bound over {mu, nu}",
         cited_policy=None,
     )
 
@@ -457,7 +453,6 @@ def _build_ski_w_saa_fail(params: dict) -> AdversarialPair:
         kind=DistanceKind.WASSERSTEIN,
         eps=eps,
         target=0.75 * b - eps,
-        target_note="exact SAA regret: buying lands one day before the trip ends",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -486,7 +481,6 @@ def _build_ski_w_lower(params: dict) -> AdversarialPair:
         kind=DistanceKind.WASSERSTEIN,
         eps=eps,
         target=s / 4.0,
-        target_note="fixed-action minimax lower bound over {mu, nu}",
         cited_policy=None,
     )
 
@@ -506,7 +500,6 @@ def _build_hetero_helps(params: dict) -> AdversarialPair:
         kind=DistanceKind.TOTAL_VARIATION,
         eps=1.0,
         target=2.0 * k,
-        target_note="exact two-sample SAA regret with heterogeneous histories",
         cited_policy=PolicySpec.saa(),
     )
 
@@ -527,21 +520,23 @@ _FAMILIES = {
 def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     """Build a named adversarial construction; see _FAMILIES for the list.
 
-    Raises UnknownName, or EpsTooLarge when eps violates the construction's
-    validity condition (outside it the measures would not be measures or the
-    target formula would not hold).
+    Raises UnknownName, ValueError for a non-finite numeric parameter, or
+    EpsTooLarge when eps violates the construction's validity condition
+    (outside it the measures would not be measures or the target formula
+    would not hold).
     """
     if name not in _FAMILIES:
         raise UnknownName(f"unknown adversarial family {name!r}")
+    for key, value in params.items():
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"parameter {key} must be finite, got {value}")
     try:
         return _FAMILIES[name](dict(params))
     except KeyError as exc:
         raise ValueError(f"family {name!r} requires parameter {exc.args[0]!r}") from exc
 
 
-def evaluate_pair(
-    pair: AdversarialPair, pol: PolicySpec | None = None, n_grid: int = 1001
-) -> float:
+def evaluate_pair(pair: AdversarialPair, pol: PolicySpec | None = None) -> float:
     """The quantity the pair certifies.
 
     Policy-failure pairs: exact regret of the cited (or given) policy, with
@@ -549,7 +544,7 @@ def evaluate_pair(
     Minimax pairs: the fixed-action minimax value over {mu, nu}.
     """
     if pair.cited_policy is None and pol is None:
-        value, _ = fixed_action_minimax(pair.problem, (pair.mu,) + pair.nus, n_grid)
+        value, _ = fixed_action_minimax(pair.problem, (pair.mu,) + pair.nus)
         return value
     policy = pol if pol is not None else pair.cited_policy
     if len(pair.nus) == 2:
@@ -612,37 +607,12 @@ def enumerate_grid_measures(grid: ScanGrid, upper: float) -> list[FiniteMeasure]
     return out
 
 
-def _weights_matrix(measures: list[FiniteMeasure], locs: tuple[float, ...]) -> np.ndarray:
-    col = {pt: j for j, pt in enumerate(locs)}
-    W = np.zeros((len(measures), len(locs)))
-    for i, m in enumerate(measures):
-        for pt, w in zip(m.support, m.weights):
-            W[i, col[pt]] = w
-    return W
-
-
-def _distance_block(
-    kind: DistanceKind,
-    Wb: np.ndarray,
-    cumWb: np.ndarray,
-    W: np.ndarray,
-    cumW: np.ndarray,
-    gaps: np.ndarray,
-) -> np.ndarray:
-    if kind is DistanceKind.KOLMOGOROV:
-        return np.abs(cumWb[:, None, :] - cumW[None, :, :]).max(axis=2)
-    if kind is DistanceKind.TOTAL_VARIATION:
-        return 0.5 * np.abs(Wb[:, None, :] - W[None, :, :]).sum(axis=2)
-    return (np.abs(cumWb[:, None, :] - cumW[None, :, :]) * gaps[None, None, :]).sum(axis=2)
-
-
 def dro_regret_scan(
     p: ProblemSpec,
     pol: PolicySpec,
     kind: DistanceKind,
     eps: float,
     grid: ScanGrid,
-    block: int = 128,
 ) -> RegretReport:
     """Maximize the exact regret over all grid pairs (mu, nu) with nu in the
     eps-ball of mu.  The result is a certified lower bound on the worst-case
@@ -656,9 +626,8 @@ def dro_regret_scan(
     measures = enumerate_grid_measures(grid, p.M)
 
     locs = np.asarray(grid.locations)
-    W = _weights_matrix(measures, grid.locations)
-    cumW = np.cumsum(W, axis=1)
-    gaps = np.append(np.diff(locs), p.M - locs[-1])
+    W = weights_on(measures, locs)
+    gaps = np.append(locs[1:], p.M) - locs
 
     # Evaluate both the policy actions and the oracle actions through the
     # same vectorized arithmetic, so SAA on the truth is exactly zero.
@@ -673,11 +642,18 @@ def dro_regret_scan(
     GA = W @ g_at_locs.T  # (n_measures, n_distinct_actions)
     opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
 
+    # Reduce each block of terms as soon as it is built, so that no more
+    # than one block is alive at a time.
+    reduce_terms = {
+        DistanceKind.KOLMOGOROV: lambda terms: terms.max(axis=2),
+        DistanceKind.TOTAL_VARIATION: lambda terms: 0.5 * terms.sum(axis=2),
+        DistanceKind.WASSERSTEIN: lambda terms: terms.sum(axis=2),
+    }[kind]
     best = 0.0
     best_pair: tuple[int, int] | None = None
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        D = _distance_block(kind, W[start:stop], cumW[start:stop], W, cumW, gaps)
+    for start in range(0, n, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, n)
+        D = reduce_terms(distance_terms(kind, W[start:stop, None, :], W[None, :, :], gaps))
         R = np.abs(opts[start:stop, None] - GA[start:stop][:, a_idx])
         R[D > eps + BALL_SLACK] = -1.0
         j = np.unravel_index(np.argmax(R), R.shape)
@@ -696,7 +672,6 @@ def dro_regret_scan(
             kind=kind,
             eps=eps,
             target=None,
-            target_note="argmax of the grid scan",
             cited_policy=pol,
         )
     lo, hi = bounds_for_policy(p, kind, pol, eps)

@@ -17,9 +17,11 @@ from heterodro.measures import empirical_from, make_finite_measure, mean, mix
 from heterodro.metrics import (
     DistanceKind,
     distance,
+    distance_terms,
     kolmogorov,
     total_variation,
     wasserstein1,
+    weights_on,
 )
 from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro.problems import (
@@ -39,7 +41,6 @@ from heterodro.regret import (
     hetero_helps_homogeneous_max,
     monte_carlo_regret,
     ski_indifference_measure,
-    _weights_matrix,
 )
 
 from conftest import random_measure
@@ -228,14 +229,13 @@ def _holder_saa_scan(eps: float, alpha: float = 0.5) -> float:
     measures = enumerate_grid_measures(grid, 1.0)
     locs = np.asarray(grid.locations)
     xs = np.linspace(0.0, 1.0, 201)
-    Wm = _weights_matrix(measures, grid.locations)
+    Wm = weights_on(measures, locs)
     G = Wm @ (np.abs(locs[:, None] - xs[None, :]) ** alpha)  # (n, n_actions)
     opts = G.min(axis=1)
     act = G.argmin(axis=1)
-    cum = np.cumsum(Wm, axis=1)
     best = 0.0
     for i in range(len(measures)):
-        d = np.abs(cum[i][None, :] - cum).max(axis=1)
+        d = distance_terms(K, Wm[i], Wm, None).max(axis=1)
         feasible = d <= eps + 1e-12
         regret = np.abs(opts[i] - G[i, act])
         regret[~feasible] = -1.0

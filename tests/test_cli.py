@@ -251,6 +251,45 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["dro-scan", "--policy", "saa", "--kind", "k", "--eps", "inf"], "--eps"),
+            (["dro-scan", "--policy", "saa", "--kind", "w", "--eps", "nan"], "--eps"),
+            (["regret", "--policy", "saa", "--mu", "0.5:1@1", "--nu", "0.5:1@1",
+              "--kind", "k", "--eps", "nan"], "--eps"),
+            (["regret", "--policy", "saa", "--mu", "0.5:1@1", "--nu", "0.5:1@1",
+              "--kind", "tv", "--eps", "inf"], "--eps"),
+            (["rates", "--kind", "k", "--eps-grid", "0.01,nan"], "eps_grid"),
+            (["rates", "--kind", "k", "--eps-grid", "0.01,inf", "--mode", "dro-scan"], "eps_grid"),
+        ],
+        ids=["dro-scan-inf", "dro-scan-nan", "regret-nan", "regret-inf", "rates-nan", "rates-inf"],
+    )
+    def test_non_finite_radius_exits_2(self, capsys, argv, name):
+        assert main(argv[:1] + ["--problem", "newsvendor:1,1,1"] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and name in line and "finite" in line
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("pr_w_saa_fail", "eps=inf,M=1", "eps"),
+            ("pr_w_saa_fail", "eps=nan,M=1", "eps"),
+            ("pr_w_saa_fail", "eps=0.1,M=inf", "M"),
+            ("ski_w_saa_fail", "b=nan,eps=0.1", "b"),
+            ("nv_tv_pair", "c_u=nan,eps=0.1", "c_u"),
+            ("hetero_helps", "k=inf", "k"),
+        ],
+    )
+    def test_non_finite_family_parameter_exits_2(self, capsys, name, params, key):
+        assert main(["adversarial", "--name", name, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = params.split(f"{key}=")[1].split(",")[0]
+        assert captured.err == f"error: parameter {key} must be finite, got {value}\n"
+
     def test_strict_violation_exits_3(self, capsys):
         # SAA on the truth has zero regret, far below the pricing/W lower
         # bound M, so --strict flags the sandwich violation

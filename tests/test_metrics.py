@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heterodro.measures import empirical_from, make_finite_measure, mix
+from heterodro.measures import FiniteMeasure, empirical_from, make_finite_measure, mix
 from heterodro.metrics import (
     DistanceKind,
     MismatchedInterval,
@@ -12,6 +14,7 @@ from heterodro.metrics import (
     kolmogorov,
     total_variation,
     wasserstein1,
+    weights_on,
 )
 
 from conftest import random_measure
@@ -21,6 +24,83 @@ ALL_KINDS = list(DistanceKind)
 
 def delta(p, upper):
     return make_finite_measure([p], [1.0], upper)
+
+
+# Reference implementations: merged-breakpoint walks over the two supports
+# with running CDF sums.  The kernel must reproduce them bit for bit.
+
+
+def _merged_breakpoints(a: FiniteMeasure, b: FiniteMeasure) -> list[float]:
+    return sorted(set(a.support) | set(b.support))
+
+
+def reference_kolmogorov(a: FiniteMeasure, b: FiniteMeasure) -> float:
+    best = 0.0
+    fa = fb = 0.0
+    ia = ib = 0
+    for t in _merged_breakpoints(a, b):
+        while ia < len(a.support) and a.support[ia] <= t:
+            fa += a.weights[ia]
+            ia += 1
+        while ib < len(b.support) and b.support[ib] <= t:
+            fb += b.weights[ib]
+            ib += 1
+        best = max(best, abs(fa - fb))
+    return best
+
+
+def reference_total_variation(a: FiniteMeasure, b: FiniteMeasure) -> float:
+    wa = dict(zip(a.support, a.weights))
+    wb = dict(zip(b.support, b.weights))
+    pts = set(wa) | set(wb)
+    return 0.5 * math.fsum(abs(wa.get(p, 0.0) - wb.get(p, 0.0)) for p in pts)
+
+
+def reference_wasserstein1(a: FiniteMeasure, b: FiniteMeasure) -> float:
+    pts = _merged_breakpoints(a, b)
+    fa = fb = 0.0
+    ia = ib = 0
+    pieces = []
+    for j, t in enumerate(pts):
+        while ia < len(a.support) and a.support[ia] <= t:
+            fa += a.weights[ia]
+            ia += 1
+        while ib < len(b.support) and b.support[ib] <= t:
+            fb += b.weights[ib]
+            ib += 1
+        nxt = pts[j + 1] if j + 1 < len(pts) else a.upper
+        pieces.append(abs(fa - fb) * (nxt - t))
+    return math.fsum(pieces)
+
+
+@st.composite
+def measure_pairs(draw):
+    """(a, b) on one interval: 1-1000 atoms each, some shared, atoms at 0
+    and at upper, or b = a."""
+    upper = draw(st.sampled_from([1.0, 3.7, 250.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.one_of(st.integers(1, 5), st.integers(1, 1000))
+
+    def points(k):
+        pts = rng.uniform(0.0, upper, k)
+        if draw(st.booleans()):
+            pts[0] = 0.0
+        if draw(st.booleans()):
+            pts[-1] = upper
+        return pts
+
+    def weights(k):
+        return rng.dirichlet(np.full(k, draw(st.sampled_from([0.1, 1.0, 10.0]))))
+
+    ka = draw(sizes)
+    a = make_finite_measure(points(ka).tolist(), weights(ka).tolist(), upper)
+    if draw(st.integers(0, 9)) == 0:
+        return a, a
+    kb = draw(sizes)
+    pts = points(kb)
+    shared = rng.random(kb) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    pts[shared] = rng.choice(a.support, size=int(shared.sum()))
+    return a, make_finite_measure(pts.tolist(), weights(kb).tolist(), upper)
 
 
 class TestExamples:
@@ -63,6 +143,35 @@ class TestExamples:
     def test_mismatched_interval(self):
         with pytest.raises(MismatchedInterval):
             kolmogorov(delta(0.5, 1), delta(0.5, 2))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(measure_pairs())
+    def test_bit_identical(self, pair):
+        a, b = pair
+        for new, ref in (
+            (kolmogorov, reference_kolmogorov),
+            (total_variation, reference_total_variation),
+            (wasserstein1, reference_wasserstein1),
+        ):
+            for x, y in ((a, b), (b, a)):
+                value = new(x, y)
+                assert type(value) is float
+                assert value.hex() == ref(x, y).hex()
+
+    def test_atom_off_locations_raises(self):
+        m = make_finite_measure([0.2, 0.7], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="off the given locations"):
+            weights_on([m], np.array([0.2, 0.5]))
+        with pytest.raises(ValueError, match="off the given locations"):
+            weights_on([m], np.array([0.1, 0.2]))
+
+    def test_weights_on_rows(self):
+        a = make_finite_measure([0.2, 0.7], [0.25, 0.75], 1.0)
+        b = delta(0.5, 1.0)
+        W = weights_on([a, b, a], np.array([0.0, 0.2, 0.5, 0.7]))
+        assert W.tolist() == [[0, 0.25, 0, 0.75], [0, 0, 1, 0], [0, 0.25, 0, 0.75]]
 
 
 class TestBall:

@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterodro.measures import cdf, make_finite_measure, mean
-from heterodro.metrics import DistanceKind, distance, kolmogorov, total_variation, wasserstein1
+from heterodro.metrics import (
+    DistanceKind,
+    distance,
+    distance_terms,
+    in_ball,
+    kolmogorov,
+    total_variation,
+    wasserstein1,
+    weights_on,
+)
 from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro import regret
 from heterodro.problems import ProblemSpec, expected_objective, oracle
@@ -28,8 +39,6 @@ from heterodro.regret import (
     hetero_helps_homogeneous_max,
     monte_carlo_regret,
     ski_indifference_measure,
-    _weights_matrix,
-    _distance_block,
 )
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
@@ -352,15 +361,51 @@ class TestScan:
         locs = (0.0, 0.3, 0.7, 1.0)
         grid = ScanGrid(locs, weight_resolution=7, max_atoms=3)
         ms = enumerate_grid_measures(grid, 1.0)
-        W_mat = _weights_matrix(ms, locs)
-        cum = np.cumsum(W_mat, axis=1)
-        gaps = np.append(np.diff(np.asarray(locs)), 1.0 - locs[-1])
+        arr = np.asarray(locs)
+        W_mat = weights_on(ms, arr)
+        gaps = np.append(arr[1:], 1.0) - arr
         idx = rng.choice(len(ms), size=20)
         for kind in (K, TV, W):
-            D = _distance_block(kind, W_mat[idx], cum[idx], W_mat, cum, gaps)
+            terms = distance_terms(kind, W_mat[idx, None, :], W_mat[None, :, :], gaps)
+            D = terms.max(axis=2) if kind is K else terms.sum(axis=2)
+            if kind is TV:
+                D *= 0.5
             for r, i in enumerate(idx):
                 for j in rng.choice(len(ms), size=10):
-                    assert D[r, j] == pytest.approx(distance(kind, ms[i], ms[j]), abs=1e-12)
+                    if kind is K:
+                        assert D[r, j] == distance(kind, ms[i], ms[j])
+                    else:
+                        assert D[r, j] == pytest.approx(distance(kind, ms[i], ms[j]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell=st.sampled_from(
+            [
+                (ProblemSpec.newsvendor(1, 2, 1), SAA),
+                (ProblemSpec.newsvendor(1, 2, 1), PolicySpec.delta_saa(0.1)),
+                (ProblemSpec.pricing(1), SAA),
+                (ProblemSpec.pricing(1), PolicySpec.delta_saa(-0.1)),
+                (ProblemSpec.ski_rental(3, 10), SAA),
+                (ProblemSpec.ski_rental(3, 10), PolicySpec.capped(2.0)),
+            ]
+        ),
+        kind=st.sampled_from([K, TV, W]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
+        resolution=st.integers(1, 8),
+        max_atoms=st.integers(1, 3),
+        eps=st.floats(0.0, 0.6),
+    )
+    def test_witness_in_scalar_ball(self, cell, kind, fractions, resolution, max_atoms, eps):
+        problem, pol = cell
+        locs = tuple(sorted({f * problem.M for f in fractions}))
+        grid = ScanGrid(locs, weight_resolution=resolution, max_atoms=max_atoms)
+        rep = dro_regret_scan(problem, pol, kind, eps, grid)
+        if rep.witness is None:
+            assert rep.estimate == 0.0
+            return
+        mu, (nu,) = rep.witness.mu, rep.witness.nus
+        assert in_ball(mu, nu, kind, eps)
+        assert rep.estimate == pytest.approx(exact_regret(problem, pol, mu, nu), abs=1e-9)
 
 
 class TestAnalyticBounds:
