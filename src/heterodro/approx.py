@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .metrics import DistanceKind
 from .problems import ProblemKind, ProblemSpec, objective
@@ -102,6 +101,8 @@ def saa_diagnostic(p: ProblemSpec, kind: DistanceKind) -> float:
 def bernstein_eval(f: Callable[[float], float], q: int, y: float) -> float:
     """Degree-q Bernstein approximation sum_p f(p/q) * C(q,p) y^p (1-y)^(q-p),
     evaluated through the binomial pmf for numerical stability."""
+    from scipy import stats  # deferred: scipy.stats costs ~1 s and ~70 MB to import
+
     if q < 1:
         raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
     if not (0.0 <= y <= 1.0):
@@ -119,6 +120,8 @@ def bernstein_error_check(
 ) -> bool:
     """True iff max_y |B_q(f)(y) - f(y)| over a grid is within the
     (5/4) * omega(1/sqrt(q)) modulus-of-continuity bound (plus 1e-9)."""
+    from scipy import stats  # deferred, as in bernstein_eval
+
     if q < 1:
         raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
     ps = np.arange(q + 1)

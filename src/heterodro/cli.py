@@ -311,7 +311,15 @@ def _parse_params(specs: list[str]) -> dict:
             key, _, value = item.partition("=")
             if not value:
                 raise ConfigInvalid(f"bad --params entry {item!r}, expected key=value")
-            out[key.strip()] = float(value)
+            key = key.strip()
+            try:
+                number = float(value)
+            except ValueError:
+                raise ConfigInvalid(
+                    f"parameter {key} must be a number, got {value!r}"
+                ) from None
+            _check_finite(f"parameter {key}", number)
+            out[key] = number
     return out
 
 

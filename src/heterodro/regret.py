@@ -164,29 +164,34 @@ def monte_carlo_regret(
     opt_mu = opt_value(p, mu)
 
     # Group identical historical measures so each group samples in one shot.
-    # Histories usually repeat a few objects, so columns are grouped by
-    # identity first (O(n)) and the O(atoms) work is paid once per object.
-    columns_of_id: dict[int, list[int]] = {}
-    for i, ident in enumerate(map(id, nus)):
-        columns_of_id.setdefault(ident, []).append(i)
-    columns_of: dict[tuple, list[int]] = {}
-    for cols in columns_of_id.values():
-        nu = nus[cols[0]]
+    # Histories usually repeat a few objects: one stable sort of the ids (in
+    # C) puts each object's columns in one contiguous run of `order`, the
+    # O(atoms) work is paid once per object, and objects with equal content
+    # share one group.  Each column maps its own uniform through its group's
+    # table, so the order of groups and of columns changes no sample.
+    ids = np.fromiter(map(id, nus), np.uintp, n)
+    order = np.argsort(ids, kind="stable")
+    bounds = (np.flatnonzero(np.diff(ids[order])) + 1).tolist()
+    starts, ends = [0, *bounds], [*bounds, n]
+    firsts = order[starts].tolist()  # each object's first column
+    runs_of: dict[tuple, list[np.ndarray]] = {}
+    for j in sorted(range(len(starts)), key=firsts.__getitem__):
+        nu = nus[firsts[j]]
         if nu.upper != mu.upper:
             raise ValueError(
                 f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]"
             )
-        columns_of.setdefault((nu.support, nu.weights), []).extend(cols)
-    union = sorted({pt for sup, _ in columns_of for pt in sup})
+        runs_of.setdefault((nu.support, nu.weights), []).append(order[starts[j]:ends[j]])
+    if len(runs_of) == 1:
+        columns = [slice(None)]  # u[:] is a view: no gather
+    else:
+        columns = [np.concatenate(runs) for runs in runs_of.values()]
+    union = sorted({pt for sup, _ in runs_of for pt in sup})
     union_arr = np.asarray(union)
     index_of = {pt: i for i, pt in enumerate(union)}
     plans = [
-        (
-            np.cumsum(wts),
-            np.asarray([index_of[pt] for pt in sup]),
-            np.asarray(cols),
-        )
-        for (sup, wts), cols in columns_of.items()
+        (np.cumsum(wts), np.asarray([index_of[pt] for pt in sup]), cols)
+        for (sup, wts), cols in zip(runs_of, columns)
     ]
 
     regrets = np.empty(trials)

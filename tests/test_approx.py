@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,9 +151,22 @@ class TestBernstein:
         # exact max error is 1/(4q) = 0.01, far below (5/4) * 2/sqrt(25)
         assert bernstein_error_check(lambda t: t * t, lambda t: 2 * t, 25)
 
+    def test_square_value_unchanged(self):
+        # the value of the binomial-pmf evaluation, to the last bit
+        assert bernstein_eval(lambda t: t * t, 10, 0.5) == 0.27499999999999997
+
     def test_sqrt_error_magnitude(self):
         q = 100
         ys = np.linspace(0, 1, 2001)
         errs = [abs(bernstein_eval(math.sqrt, q, y) - math.sqrt(y)) for y in ys]
         assert max(errs) <= 1.25 * (q ** -0.25)  # (5/4) * omega(1/sqrt(q)), omega = sqrt
         assert max(errs) <= 0.125
+
+
+def test_cold_start_does_not_import_scipy():
+    # scipy.stats is loaded only inside the Bernstein helpers; a fresh
+    # interpreter is needed because other tests may already have loaded it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import heterodro, heterodro.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

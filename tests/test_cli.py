@@ -290,6 +290,28 @@ class TestCommands:
         value = params.split(f"{key}=")[1].split(",")[0]
         assert captured.err == f"error: parameter {key} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1"],
+            ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k",
+             "--eps-grid", "0.01,0.02", "--params", "eps=0.1"],
+        ],
+        ids=["adversarial", "rates"],
+    )
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("nan", "must be finite, got nan"), ("inf", "must be finite, got inf"),
+         ("abc", "must be a number, got 'abc'")],
+        ids=["nan", "inf", "abc"],
+    )
+    def test_invalid_params_value_exits_2(self, capsys, argv, value, reason):
+        # an invalid value fails the whole command, never one skipped row per eps
+        assert main(argv[:-1] + [f"{argv[-1]},c_u={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter c_u {reason}\n"
+
     def test_strict_violation_exits_3(self, capsys):
         # SAA on the truth has zero regret, far below the pricing/W lower
         # bound M, so --strict flags the sandwich violation

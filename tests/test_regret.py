@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import cdf, make_finite_measure, mean
+from heterodro.measures import _from_canonical, cdf, make_finite_measure, mean
 from heterodro.metrics import (
     DistanceKind,
     distance,
@@ -16,14 +16,15 @@ from heterodro.metrics import (
     wasserstein1,
     weights_on,
 )
-from heterodro.policies import PolicySpec, recommended_parameter
+from heterodro.policies import PolicySpec, apply_policy, recommended_parameter
 from heterodro import regret
-from heterodro.problems import ProblemSpec, expected_objective, oracle
+from heterodro.problems import ProblemKind, ProblemSpec, expected_objective, opt_value, oracle
 from heterodro.regret import (
     AdversarialPair,
     EpsTooLarge,
     GridTooLarge,
     InvalidBRange,
+    Z95,
     RegretReport,
     ScanGrid,
     UnknownName,
@@ -74,6 +75,82 @@ class TestExactRegret:
         mu = make_finite_measure([0, 1], [0.4, 0.6], 1)
         nu = make_finite_measure([0, 1], [0.5, 0.5], 1)
         assert exact_regret(p, SAA, mu, nu) == pytest.approx(0.2, abs=1e-12)
+
+
+def reference_monte_carlo_regret(p, pol, mu, nus, trials, seed):
+    """Monte-Carlo regret with the columns grouped by a per-element dict of
+    ids, then merged by content: the reference for the grouping in
+    ``monte_carlo_regret``.  Sampling and RNG streams are the same."""
+    n = len(nus)
+    opt_mu = opt_value(p, mu)
+    columns_of_id = {}
+    for i, ident in enumerate(map(id, nus)):
+        columns_of_id.setdefault(ident, []).append(i)
+    columns_of = {}
+    for cols in columns_of_id.values():
+        nu = nus[cols[0]]
+        columns_of.setdefault((nu.support, nu.weights), []).extend(cols)
+    union = sorted({pt for sup, _ in columns_of for pt in sup})
+    union_arr = np.asarray(union)
+    index_of = {pt: i for i, pt in enumerate(union)}
+    plans = [
+        (np.cumsum(wts), np.asarray([index_of[pt] for pt in sup]), np.asarray(cols))
+        for (sup, wts), cols in columns_of.items()
+    ]
+    regrets = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        u = rng.random(n)
+        sample_idx = np.empty(n, dtype=np.int64)
+        for cum, idx_map, cols in plans:
+            k = np.minimum(np.searchsorted(cum, u[cols], side="right"), len(idx_map) - 1)
+            sample_idx[cols] = idx_map[k]
+        counts = np.bincount(sample_idx, minlength=len(union))
+        nz = counts > 0
+        m_hat = _from_canonical(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
+        action = apply_policy(pol, p, m_hat)
+        regrets[t] = abs(opt_mu - expected_objective(p, action, mu))
+    ci = float(Z95 * regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return RegretReport(
+        estimate=float(regrets.mean()), ci_half_width=ci, n=n, trials=trials, seed=seed
+    )
+
+
+@st.composite
+def mc_histories(draw):
+    """A problem, a policy, mu and a history of 1-5 distinct objects, some
+    of them equal-content copies of another, in random order."""
+    problem, pol = draw(
+        st.sampled_from(
+            [
+                (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
+                (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
+                (ProblemSpec.ski_rental(3.0, 10.0), SAA),
+                (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
+            ]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer_days = problem.kind is ProblemKind.SKI_RENTAL
+
+    def fresh():
+        k = int(rng.integers(1, 7))
+        if integer_days:
+            pts = rng.choice(np.arange(1, 11), size=k, replace=False).astype(float)
+        else:
+            pts = rng.uniform(0.0, 10.0, size=k)
+        return make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(k)).tolist(), 10.0)
+
+    objects = [fresh()]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            m = objects[draw(st.integers(0, len(objects) - 1))]
+            objects.append(make_finite_measure(list(m.support), list(m.weights), m.upper))
+        else:
+            objects.append(fresh())
+    n = draw(st.integers(1, 300))
+    order = draw(st.lists(st.integers(0, len(objects) - 1), min_size=n, max_size=n))
+    return problem, pol, fresh(), [objects[i] for i in order]
 
 
 class TestMonteCarlo:
@@ -132,6 +209,15 @@ class TestMonteCarlo:
         interleaved = [m if i % 3 else copy(m) for i, m in enumerate([a, b] * (n // 2))]
         assert monte_carlo_regret(p, SAA, mu, interleaved, trials=5, seed=9) == mixed
         assert same.estimate > 0.0 and mixed.estimate > 0.0 and mixed != same
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mc_histories(), trials=st.integers(1, 3), seed=st.integers(0, 10**6))
+    def test_grouping_matches_reference(self, case, trials, seed):
+        p, pol, mu, nus = case
+        got = monte_carlo_regret(p, pol, mu, nus, trials, seed)
+        want = reference_monte_carlo_regret(p, pol, mu, nus, trials, seed)
+        assert got.estimate.hex() == want.estimate.hex()
+        assert got.ci_half_width.hex() == want.ci_half_width.hex()
 
     def test_history_interval_must_match_mu(self):
         p = ProblemSpec.ski_rental(3, 10)
