@@ -18,15 +18,8 @@ from .measures import (
     to_text,
 )
 from .metrics import DistanceKind, in_ball, kolmogorov, total_variation, wasserstein1
-from .policies import PolicySpec, apply_policy, recommended_parameter
-from .problems import (
-    ProblemSpec,
-    expected_objective,
-    objective,
-    opt_value,
-    oracle,
-    ski_discrete_cost,
-)
+from .policies import PolicySpec, apply_policy, policy_action, recommended_parameter
+from .problems import ProblemSpec, expected_objective, objective, opt_value, oracle
 from .regret import (
     AdversarialPair,
     RegretReport,
@@ -70,11 +63,11 @@ __all__ = [
     "objective_stats",
     "opt_value",
     "oracle",
+    "policy_action",
     "quantile",
     "recommended_parameter",
     "saa_diagnostic",
     "sample",
-    "ski_discrete_cost",
     "ski_indifference_measure",
     "to_text",
     "total_variation",

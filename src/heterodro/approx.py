@@ -66,7 +66,7 @@ def objective_stats_numeric(p: ProblemSpec, x: float, grid_n: int) -> ObjectiveS
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     xi = np.linspace(0.0, p.M, grid_n)
-    f = np.asarray([objective(p, x, v) for v in xi])
+    f = objective(p, x, xi)
     steps = np.abs(np.diff(f))
     h = xi[1] - xi[0]
     return ObjectiveStats(

@@ -20,8 +20,9 @@ import numpy as np
 from .measures import from_text, to_text
 from .metrics import DistanceKind, distance
 from .policies import PolicyKind, PolicySpec, recommended_parameter
-from .problems import ProblemKind, ProblemSpec, opt_value, oracle
+from .problems import ProblemKind, ProblemSpec, expected_objective, oracle
 from .regret import (
+    _FAMILY_PARAMS,
     AdversarialPair,
     RegretReport,
     ScanGrid,
@@ -122,6 +123,9 @@ class ExperimentConfig:
             raise ConfigInvalid("eps_grid must be sorted ascending")
         if self.n < 1 or self.trials < 1:
             raise ConfigInvalid("n and trials must be >= 1")
+        for key in self.family_params:
+            if key not in _FAMILY_PARAMS:
+                raise ConfigInvalid(f"unknown parameter {key!r}")
 
 
 def default_family(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec) -> str:
@@ -444,7 +448,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         p = ProblemSpec.from_text(args.problem)
         m = from_text(args.measure)
         x = oracle(p, m)
-        _emit(f"action {x:.12g} value {opt_value(p, m):.12g}\n", args.out)
+        _emit(f"action {x:.12g} value {expected_objective(p, x, m):.12g}\n", args.out)
         return 0
 
     if cmd == "diagnose":

@@ -38,8 +38,8 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
-        if self.kind is PolicyKind.CAPPED and self.cap <= 0.0:
-            raise ValueError("cap must be positive")
+        if self.kind is PolicyKind.CAPPED and not 0.0 < self.cap < math.inf:
+            raise ValueError("cap must be finite and positive")
 
     @classmethod
     def saa(cls) -> "PolicySpec":
@@ -76,13 +76,14 @@ class PolicySpec:
         raise ValueError(f"unknown policy {text!r}")
 
 
-def apply_policy(pol: PolicySpec, p: ProblemSpec, m_hat: FiniteMeasure) -> float:
-    """Action of the policy given the (empirical) measure m_hat.
+def policy_action(pol: PolicySpec, p: ProblemSpec, target: float) -> float:
+    """Action of the policy given the oracle action ``target`` of its input.
 
-    delta-SAA deviates the oracle action by delta and then projects onto
-    [0, M]; for an interval action space the projection is a clamp.
+    Every policy here is a function of that action alone: SAA returns it,
+    delta-SAA deviates it by delta and then projects onto [0, M] (for an
+    interval action space the projection is a clamp), and the capped rental
+    takes the smaller of it and the cap.
     """
-    target = oracle(p, m_hat)
     if pol.kind is PolicyKind.SAA:
         return target
     if pol.kind is PolicyKind.DELTA_SAA:
@@ -90,6 +91,11 @@ def apply_policy(pol: PolicySpec, p: ProblemSpec, m_hat: FiniteMeasure) -> float
     if p.kind is not ProblemKind.SKI_RENTAL:
         raise CappedOnNonSki("the capped rental policy is only defined for ski rental")
     return min(pol.cap, target)
+
+
+def apply_policy(pol: PolicySpec, p: ProblemSpec, m_hat: FiniteMeasure) -> float:
+    """Action of the policy given the (empirical) measure m_hat."""
+    return policy_action(pol, p, oracle(p, m_hat))
 
 
 def recommended_parameter(p: ProblemSpec, kind: DistanceKind, eps: float) -> PolicySpec:

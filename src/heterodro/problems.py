@@ -8,6 +8,16 @@ Problems share the interval [0, M] as both action and outcome space:
 * ski_rental(b, M): cost  xi*1{xi <= x} + (b+x)*1{xi > x}  where x is the
   rental duration before buying at price b (minimize).
 
+:func:`objective` is the only statement of g(x, xi); it broadcasts over
+arrays of actions and realizations.  Everything else reduces its values
+against a measure's weights in one of two ways:
+
+* ``fsum`` (:func:`expected_objective`): correctly rounded, so exact ties
+  between actions survive; the oracles, the regrets and every test that
+  asserts ``==`` use it;
+* ``@`` (:func:`expected_objective_grid`, the DRO scan's g-matrix): a
+  matrix product over many actions at once, exact to rounding only.
+
 Oracles use closed-form candidate reductions (critical-fractile quantile,
 support-point maximum, {0} union support) whose optimality over the full
 continuum is re-certified against a dense action grid in the test suite.
@@ -22,14 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FiniteMeasure, cdf, quantile, tail
+from .measures import FiniteMeasure, quantile
 
 
 class OutOfRange(ValueError):
-    pass
-
-
-class NonIntegerSupport(ValueError):
     pass
 
 
@@ -108,82 +114,48 @@ class ProblemSpec:
         raise ValueError(f"unknown problem {name!r}")
 
 
-def _check_in_interval(p: ProblemSpec, value: float, what: str) -> None:
-    if not (0.0 <= value <= p.M):
-        raise OutOfRange(f"{what} {value} outside [0, {p.M}]")
+def _in_interval(p: ProblemSpec, value, what: str) -> np.ndarray:
+    """``value`` as a float array, raising OutOfRange unless every entry
+    lies in [0, M] (NaN included)."""
+    a = np.asarray(value, dtype=float)
+    ok = (a >= 0.0) & (a <= p.M)
+    if not ok.all():
+        raise OutOfRange(f"{what} {a[~ok].flat[0]} outside [0, {p.M}]")
+    return a
 
 
-def objective(p: ProblemSpec, x: float, xi: float) -> float:
-    """Pointwise objective g(x, xi); nonnegative on [0,M]^2."""
-    _check_in_interval(p, x, "action")
-    _check_in_interval(p, xi, "realization")
+def objective(p: ProblemSpec, x, xi) -> np.ndarray:
+    """Pointwise objective g(x, xi), nonnegative on [0,M]^2.
+
+    ``x`` (actions) and ``xi`` (realizations) are scalars or arrays and
+    broadcast against each other; the result is a float array of their
+    broadcast shape, 0-d for scalar inputs.
+    """
+    x = _in_interval(p, x, "action")
+    xi = _in_interval(p, xi, "realization")
     if p.kind is ProblemKind.NEWSVENDOR:
-        return p.c_u * max(xi - x, 0.0) + p.c_o * max(x - xi, 0.0)
+        return p.c_u * np.maximum(xi - x, 0.0) + p.c_o * np.maximum(x - xi, 0.0)
     if p.kind is ProblemKind.PRICING:
-        return x if xi >= x else 0.0
-    return xi if xi <= x else p.b + x
+        return np.where(xi >= x, x, 0.0)
+    return np.where(xi <= x, xi, p.b + x)
 
 
 def expected_objective(p: ProblemSpec, x: float, m: FiniteMeasure) -> float:
-    """Exact atom-weighted expectation of g(x, .) under m."""
-    _check_in_interval(p, x, "action")
+    """Exact atom-weighted expectation of g(x, .) under m.
+
+    The sum is correctly rounded, so two actions whose expectations agree
+    in exact arithmetic on the rounded terms compare equal: the oracles
+    break ties on this value.
+    """
     if m.upper > p.M:
         raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
-    return math.fsum(w * objective(p, x, xi) for xi, w in zip(m.support, m.weights))
+    return math.fsum((np.asarray(m.weights) * objective(p, x, m.support)).tolist())
 
 
 def expected_objective_grid(p: ProblemSpec, xs: np.ndarray, m: FiniteMeasure) -> np.ndarray:
-    """Vectorized expected objective over an array of actions."""
-    xs = np.asarray(xs, dtype=float)
-    pts = np.asarray(m.support)
-    wts = np.asarray(m.weights)
-    if p.kind is ProblemKind.NEWSVENDOR:
-        diff = pts[None, :] - xs[:, None]
-        cost = p.c_u * np.maximum(diff, 0.0) + p.c_o * np.maximum(-diff, 0.0)
-        return cost @ wts
-    suffix = np.concatenate([np.cumsum(wts[::-1])[::-1], [0.0]])
-    prefix_mass = np.concatenate([[0.0], np.cumsum(wts)])
-    prefix_first_moment = np.concatenate([[0.0], np.cumsum(wts * pts)])
-    if p.kind is ProblemKind.PRICING:
-        k = np.searchsorted(pts, xs, side="left")
-        return xs * suffix[k]
-    # ski rental: E[xi; xi <= x] + (b + x) * P(xi > x)
-    k = np.searchsorted(pts, xs, side="right")
-    return prefix_first_moment[k] + (p.b + xs) * (1.0 - prefix_mass[k])
-
-
-def ski_cost_from_cdf(p: ProblemSpec, x: float, m: FiniteMeasure) -> float:
-    """Ski-rental cost in CDF form: b*(1-F(x)) + x - int_0^x F.
-
-    Equivalent to the atom-weighted expectation (cross-asserted in tests);
-    the integral form is what the tail and Lipschitz arguments rest on.
-    """
-    if p.kind is not ProblemKind.SKI_RENTAL:
-        raise ValueError("CDF cost form is specific to ski rental")
-    _check_in_interval(p, x, "action")
-    integral = 0.0
-    f_prev = 0.0
-    prev = 0.0
-    for pt, w in zip(m.support, m.weights):
-        if pt >= x:
-            break
-        integral += f_prev * (pt - prev)
-        f_prev += w
-        prev = pt
-    integral += f_prev * (x - prev)
-    return p.b * (1.0 - cdf(m, x)) + x - integral
-
-
-def ski_discrete_cost(k: int, m: FiniteMeasure, b: float) -> float:
-    """Integer-day rental cost: sum_{i=1}^k P(xi >= i) + b * P(xi >= k+1)."""
-    if abs(k - round(k)) > 1e-9:
-        raise NonIntegerSupport(f"action {k} is not an integer day count")
-    for pt in m.support:
-        if abs(pt - round(pt)) > 1e-9:
-            raise NonIntegerSupport(f"support point {pt} is not an integer")
-    k = int(round(k))
-    rent = math.fsum(tail(m, i - 0.5) for i in range(1, k + 1))
-    return rent + b * tail(m, k + 0.5)
+    """Expected objective at every action of the 1-d array ``xs``, by one
+    matrix product (rounded differently from :func:`expected_objective`)."""
+    return objective(p, np.asarray(xs, dtype=float)[:, None], m.support) @ np.asarray(m.weights)
 
 
 def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:

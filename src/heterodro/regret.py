@@ -19,7 +19,7 @@ import numpy as np
 
 from .measures import FiniteMeasure, _from_canonical, make_finite_measure
 from .metrics import BALL_SLACK, DistanceKind, distance_terms, in_ball, weights_on
-from .policies import PolicyKind, PolicySpec, apply_policy, recommended_parameter
+from .policies import PolicyKind, PolicySpec, apply_policy, policy_action, recommended_parameter
 from .problems import (
     ProblemKind,
     ProblemSpec,
@@ -509,6 +509,10 @@ def _build_hetero_helps(params: dict) -> AdversarialPair:
     )
 
 
+# Every parameter name some family reads; any other key is a typo, never
+# silently ignored.
+_FAMILY_PARAMS = frozenset({"M", "eps", "kind", "c_u", "c_o", "b", "eta", "alpha", "k"})
+
 _FAMILIES = {
     "nv_tv_pair": _build_nv_tv_pair,
     "pr_k_pair": _build_pr_k_pair,
@@ -525,14 +529,16 @@ _FAMILIES = {
 def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     """Build a named adversarial construction; see _FAMILIES for the list.
 
-    Raises UnknownName, ValueError for a non-finite numeric parameter, or
-    EpsTooLarge when eps violates the construction's validity condition
-    (outside it the measures would not be measures or the target formula
-    would not hold).
+    Raises UnknownName, ValueError for an unknown or a non-finite numeric
+    parameter, or EpsTooLarge when eps violates the construction's validity
+    condition (outside it the measures would not be measures or the target
+    formula would not hold).
     """
     if name not in _FAMILIES:
         raise UnknownName(f"unknown adversarial family {name!r}")
     for key, value in params.items():
+        if key not in _FAMILY_PARAMS:
+            raise ValueError(f"unknown parameter {key!r}")
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise ValueError(f"parameter {key} must be finite, got {value}")
     try:
@@ -635,16 +641,15 @@ def dro_regret_scan(
     gaps = np.append(locs[1:], p.M) - locs
 
     # Evaluate both the policy actions and the oracle actions through the
-    # same vectorized arithmetic, so SAA on the truth is exactly zero.
-    actions = [apply_policy(pol, p, m) for m in measures]
+    # same vectorized arithmetic, so SAA on the truth is exactly zero.  The
+    # policies are functions of the oracle action: one oracle call per measure.
     oracle_actions = [oracle(p, m) for m in measures]
+    actions = [policy_action(pol, p, a) for a in oracle_actions]
     distinct = sorted(set(actions) | set(oracle_actions))
     col = {a: j for j, a in enumerate(distinct)}
     a_idx = np.asarray([col[a] for a in actions])
-    g_at_locs = np.stack(
-        [np.asarray([objective(p, a, pt) for pt in grid.locations]) for a in distinct]
-    )
-    GA = W @ g_at_locs.T  # (n_measures, n_distinct_actions)
+    # GA[i, j]: expected objective of action distinct[j] under measure i
+    GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
     opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
 
     # Reduce each block of terms as soon as it is built, so that no more
@@ -776,7 +781,7 @@ def bounds_for_policy(
 
 
 def _integer_saa_action(
-    samples: tuple[float, ...], b: float, xs: list[float], prefer_largest: bool
+    p: ProblemSpec, samples: tuple[float, ...], xs: list[float], prefer_largest: bool
 ) -> float:
     """Empirical-cost argmin over an explicit action grid.
 
@@ -784,10 +789,8 @@ def _integer_saa_action(
     possible, so its comparison sweep uses prefer_largest=True.
     """
     best_x, best_c = xs[0], math.inf
-    for x in xs:
-        c = math.fsum(
-            (xi if xi <= x else b + x) for xi in samples
-        ) / len(samples)
+    for x, costs in zip(xs, objective(p, np.asarray(xs)[:, None], samples).tolist()):
+        c = math.fsum(costs) / len(samples)
         if c < best_c or (prefer_largest and c == best_c):
             best_x, best_c = x, c
     return best_x
@@ -805,22 +808,18 @@ def hetero_helps_homogeneous_max(k: int, resolution: int = 50) -> float:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    b = 2 * k + 1
     M = 3 * k + 2
+    p = ProblemSpec.ski_rental(2 * k + 1, M)
     atoms = [float(k), float(k + 1), float(M)]
     xs = [float(x) for x in range(M + 1)]
 
     action_of = {}
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        action_of[(i, j)] = _integer_saa_action(
-            (atoms[i], atoms[j]), b, xs, prefer_largest=True
-        )
-
-    def g(x: float, xi: float) -> float:
-        return xi if xi <= x else b + x
+        action_of[(i, j)] = _integer_saa_action(p, (atoms[i], atoms[j]), xs, prefer_largest=True)
 
     mu_atom = atoms[1]  # k + 1
-    opt_mu = min(g(x, mu_atom) for x in xs)
+    g_mu = dict(zip(xs, objective(p, xs, mu_atom).tolist()))
+    opt_mu = min(g_mu.values())
 
     best = 0.0
     r = resolution
@@ -830,6 +829,6 @@ def hetero_helps_homogeneous_max(k: int, resolution: int = 50) -> float:
             value = 0.0
             for (ia, ja), act in action_of.items():
                 prob = w[ia] * w[ja] * (1.0 if ia == ja else 2.0)
-                value += prob * (g(act, mu_atom) - opt_mu)
+                value += prob * (g_mu[act] - opt_mu)
             best = max(best, value)
     return best

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from heterodro.cli import (
     CSV_HEADER,
@@ -16,6 +20,7 @@ from heterodro.cli import (
     rows_to_csv,
     run_experiment,
 )
+from heterodro.measures import from_text
 from heterodro.metrics import DistanceKind
 from heterodro.policies import PolicySpec
 from heterodro.problems import ProblemSpec
@@ -52,6 +57,16 @@ class TestExperimentConfig:
                 kind=K,
                 policy=PolicySpec.saa(),
                 eps_grid=(0.1, 0.05),
+            )
+
+    def test_unknown_family_parameter(self):
+        with pytest.raises(ConfigInvalid, match="unknown parameter 'cu'"):
+            ExperimentConfig(
+                problem=ProblemSpec.newsvendor(1, 1, 1),
+                kind=K,
+                policy=None,
+                eps_grid=(0.01,),
+                family_params={"cu": 2.0},
             )
 
     def test_unknown_mode(self):
@@ -312,6 +327,34 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: parameter c_u {reason}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1"],
+            ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k",
+             "--eps-grid", "0.01,0.02", "--params", "eps=0.1"],
+            ["rates", "--problem", "ski:3,10", "--kind", "k", "--mode", "monte-carlo",
+             "--eps-grid", "0.01,0.02", "--trials", "2", "--n", "10", "--params", "M=10"],
+        ],
+        ids=["adversarial", "rates", "rates-mc"],
+    )
+    @pytest.mark.parametrize("key", ["cu", "foo", ""])
+    def test_unknown_params_key_exits_2(self, capsys, argv, key):
+        # a misspelt key fails the command, never runs the default value
+        assert main(argv[:-1] + [f"{argv[-1]},{key}=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown parameter {key!r}\n"
+
+    @pytest.mark.parametrize("policy", ["cap:nan", "cap:inf"])
+    def test_non_finite_cap_exits_2(self, capsys, policy):
+        argv = ["regret", "--problem", "ski:3,10", "--policy", policy,
+                "--mu", "5:1@10", "--nu", "5:1@10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse policy text {policy!r}\n"
+
     def test_strict_violation_exits_3(self, capsys):
         # SAA on the truth has zero regret, far below the pricing/W lower
         # bound M, so --strict flags the sandwich violation
@@ -397,3 +440,50 @@ class TestCommands:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parses(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+# characters of the three text forms, the words they use, and a few others
+TEXTS = st.text(alphabet="0123456789.:,@-+eEinfa skpqrcdwvotl_x", max_size=30)
+
+
+class TestMalformedText:
+    """A malformed problem, policy or measure text exits 2 with one
+    ``error:`` line, no traceback and no output."""
+
+    def check(self, argv):
+        code, out, err = run_captured(argv)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and len(line) > len("error: ")
+
+    @given(TEXTS)
+    def test_problem(self, text):
+        assume(not parses(ProblemSpec.from_text, text))
+        self.check(["oracle", f"--problem={text}", "--measure=0.5:1@1"])
+
+    @given(TEXTS)
+    def test_policy(self, text):
+        assume(not parses(PolicySpec.from_text, text))
+        self.check(["regret", "--problem=ski:3,10", f"--policy={text}",
+                    "--mu=5:1@10", "--nu=5:1@10"])
+
+    @given(TEXTS)
+    def test_measure(self, text):
+        assume(not parses(from_text, text))
+        self.check(["oracle", "--problem=pricing:1", f"--measure={text}"])

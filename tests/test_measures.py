@@ -179,6 +179,16 @@ class TestSerialization:
             m = random_measure(rng)
             assert from_text(to_text(m)) == m
 
+    @given(st.data())
+    def test_round_trip_any(self, data):
+        upper = data.draw(st.floats(1e-6, 1e6))
+        k = data.draw(st.integers(1, 20))
+        pts = data.draw(st.lists(st.floats(0.0, upper), min_size=k, max_size=k))
+        wts = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k))
+        total = math.fsum(wts)
+        m = make_finite_measure(pts, [w / total for w in wts], upper)
+        assert from_text(to_text(m)) == m
+
     def test_format(self):
         m = make_finite_measure([0.5], [1.0], 2.0)
         assert to_text(m) == "0.5:1.0@2.0"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heterodro.measures import empirical_from, make_finite_measure
 from heterodro.metrics import DistanceKind
@@ -10,9 +12,10 @@ from heterodro.policies import (
     PolicyKind,
     PolicySpec,
     apply_policy,
+    policy_action,
     recommended_parameter,
 )
-from heterodro.problems import ProblemSpec
+from heterodro.problems import ProblemSpec, oracle
 
 from conftest import random_measure
 
@@ -76,6 +79,28 @@ class TestApplyPolicy:
                 assert 0.0 <= apply_policy(pol, SKI, m) <= SKI.M
 
 
+class TestPolicyAction:
+    @pytest.mark.parametrize(
+        "pol",
+        [PolicySpec.saa(), PolicySpec.delta_saa(-0.3), PolicySpec.delta_saa(2.5),
+         PolicySpec.capped(0.4), PolicySpec.capped(6.0)],
+        ids=["saa", "dsaa-neg", "dsaa-pos", "cap-low", "cap-high"],
+    )
+    def test_function_of_the_oracle_action(self, pol, rng):
+        # the DRO scan maps each measure's one oracle action through
+        # policy_action; apply_policy must give the same action
+        for p in (PR, SKI, ProblemSpec.newsvendor(2, 1, 1)):
+            for _ in range(50):
+                m = random_measure(rng, upper=p.M)
+                if pol.kind is PolicyKind.CAPPED and p is not SKI:
+                    with pytest.raises(CappedOnNonSki):
+                        apply_policy(pol, p, m)
+                    with pytest.raises(CappedOnNonSki):
+                        policy_action(pol, p, oracle(p, m))
+                    continue
+                assert policy_action(pol, p, oracle(p, m)) == apply_policy(pol, p, m)
+
+
 class TestRecommendedParameter:
     def test_pricing_wasserstein_deflates(self):
         pol = recommended_parameter(PR, DistanceKind.WASSERSTEIN, 0.04)
@@ -104,10 +129,28 @@ class TestRecommendedParameter:
             recommended_parameter(PR, DistanceKind.WASSERSTEIN, 0.0)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestText:
     def test_round_trip(self):
         for pol in (PolicySpec.saa(), PolicySpec.delta_saa(-0.25), PolicySpec.capped(4.6)):
             assert PolicySpec.from_text(pol.to_text()) == pol
+
+    @given(
+        st.one_of(
+            st.just(PolicySpec.saa()),
+            finite.map(PolicySpec.delta_saa),
+            finite.filter(lambda c: c > 0.0).map(PolicySpec.capped),
+        )
+    )
+    def test_round_trip_any(self, pol):
+        assert PolicySpec.from_text(pol.to_text()) == pol
+
+    @pytest.mark.parametrize("text", ["cap:nan", "cap:inf", "cap:-inf", "cap:0", "cap:-1"])
+    def test_cap_must_be_finite_and_positive(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse policy text '{text}'"):
+            PolicySpec.from_text(text)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

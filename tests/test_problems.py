@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import make_finite_measure
+from heterodro.measures import cdf, make_finite_measure, tail
 from heterodro.metrics import wasserstein1
 from heterodro.problems import (
-    NonIntegerSupport,
     OutOfRange,
+    ProblemKind,
     ProblemSpec,
     expected_objective,
     expected_objective_grid,
     objective,
     opt_value,
     oracle,
-    ski_cost_from_cdf,
-    ski_discrete_cost,
 )
 from heterodro.regret import ski_indifference_measure
 
@@ -30,6 +28,137 @@ SKI = ProblemSpec.ski_rental(3, 10)
 
 def delta(p, upper):
     return make_finite_measure([p], [1.0], upper)
+
+
+# ---------------------------------------------------------------------------
+# reference forms: the scalar objective and its generator-fsum expectation,
+# which the broadcast kernel replaced, and the two ski-only cost forms the
+# tail and Lipschitz arguments rest on
+
+
+def reference_objective(p, x, xi):
+    """g(x, xi) for one action and one realization, branch by branch."""
+    for what, value in (("action", x), ("realization", xi)):
+        if not (0.0 <= value <= p.M):
+            raise OutOfRange(f"{what} {value} outside [0, {p.M}]")
+    if p.kind is ProblemKind.NEWSVENDOR:
+        return p.c_u * max(xi - x, 0.0) + p.c_o * max(x - xi, 0.0)
+    if p.kind is ProblemKind.PRICING:
+        return x if xi >= x else 0.0
+    return xi if xi <= x else p.b + x
+
+
+def reference_expected_objective(p, x, m):
+    """fsum over the atoms of w * g(x, xi), one scalar objective at a time."""
+    return math.fsum(w * reference_objective(p, x, xi) for xi, w in zip(m.support, m.weights))
+
+
+class NonIntegerSupport(ValueError):
+    pass
+
+
+def ski_cost_from_cdf(p, x, m):
+    """Ski-rental cost in CDF form: b*(1-F(x)) + x - int_0^x F."""
+    if p.kind is not ProblemKind.SKI_RENTAL:
+        raise ValueError("CDF cost form is specific to ski rental")
+    if not (0.0 <= x <= p.M):
+        raise OutOfRange(f"action {x} outside [0, {p.M}]")
+    integral = 0.0
+    f_prev = 0.0
+    prev = 0.0
+    for pt, w in zip(m.support, m.weights):
+        if pt >= x:
+            break
+        integral += f_prev * (pt - prev)
+        f_prev += w
+        prev = pt
+    integral += f_prev * (x - prev)
+    return p.b * (1.0 - cdf(m, x)) + x - integral
+
+
+def ski_discrete_cost(k, m, b):
+    """Integer-day rental cost: sum_{i=1}^k P(xi >= i) + b * P(xi >= k+1)."""
+    if abs(k - round(k)) > 1e-9:
+        raise NonIntegerSupport(f"action {k} is not an integer day count")
+    for pt in m.support:
+        if abs(pt - round(pt)) > 1e-9:
+            raise NonIntegerSupport(f"support point {pt} is not an integer")
+    k = int(round(k))
+    rent = math.fsum(tail(m, i - 0.5) for i in range(1, k + 1))
+    return rent + b * tail(m, k + 0.5)
+
+
+@st.composite
+def problems(draw):
+    """A problem of each kind with drawn parameters."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    M = draw(st.floats(1e-3, 1e3))
+    if kind is ProblemKind.NEWSVENDOR:
+        return ProblemSpec.newsvendor(draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)), M)
+    if kind is ProblemKind.PRICING:
+        return ProblemSpec.pricing(M)
+    return ProblemSpec.ski_rental(draw(st.floats(0.001, 0.999)) * M, M)
+
+
+def points(M):
+    """Values in [0, M], the edges -0.0, 0 and M drawn often."""
+    return st.one_of(st.sampled_from([-0.0, 0.0, M]), st.floats(0.0, M))
+
+
+class TestObjectiveKernel:
+    """The broadcast kernel and its fsum reduction against the reference forms,
+    bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pointwise(self, data):
+        p = data.draw(problems())
+        x = data.draw(points(p.M))
+        xi = data.draw(st.one_of(st.just(x), points(p.M)))
+        assert float(objective(p, x, xi)).hex() == reference_objective(p, x, xi).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_broadcast(self, data):
+        p = data.draw(problems())
+        xs = data.draw(st.lists(points(p.M), min_size=1, max_size=8))
+        xis = data.draw(st.lists(points(p.M), min_size=1, max_size=8))
+        table = objective(p, np.asarray(xs)[:, None], xis)
+        assert table.shape == (len(xs), len(xis))
+        for row, x in zip(table.tolist(), xs):
+            assert [v.hex() for v in row] == [reference_objective(p, x, xi).hex() for xi in xis]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_expectation(self, data):
+        p = data.draw(problems())
+        k = data.draw(st.integers(1, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = rng.uniform(0.0, p.M, size=k)
+        edges = data.draw(st.lists(st.sampled_from([-0.0, 0.0, p.M]), max_size=2))
+        for j, edge in enumerate(edges):
+            pts[j % k] = edge
+        m = make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(k)).tolist(), p.M)
+        actions = [data.draw(points(p.M)) for _ in range(3)] + [data.draw(st.sampled_from(m.support))]
+        for x in actions:
+            assert expected_objective(p, x, m).hex() == reference_expected_objective(p, x, m).hex()
+
+    @pytest.mark.parametrize("M", range(3, 41))
+    def test_indifference_measures(self, M):
+        for b in range(2, M):
+            p, m = ProblemSpec.ski_rental(b, M), ski_indifference_measure(M, b)
+            for x in range(M + 1):
+                assert expected_objective(p, x, m).hex() == reference_expected_objective(p, x, m).hex()
+
+    def test_scalar_inputs_give_0d(self):
+        for p in (NV, PR, SKI):
+            assert np.shape(objective(p, 0.5, 0.25)) == ()
+
+    def test_out_of_range_entry_named(self):
+        with pytest.raises(OutOfRange, match=r"realization 1\.5 outside"):
+            objective(PR, 0.5, [0.2, 1.5, 2.5])
+        with pytest.raises(OutOfRange, match=r"action nan outside"):
+            objective(SKI, [1.0, math.nan], 2.0)
 
 
 class TestObjective:
@@ -295,6 +424,10 @@ class TestParsing:
     def test_round_trip(self):
         for p in (NV, PR, SKI):
             assert ProblemSpec.from_text(p.to_text()) == p
+
+    @given(problems())
+    def test_round_trip_any(self, p):
+        assert ProblemSpec.from_text(p.to_text()) == p
 
     def test_invalid(self):
         with pytest.raises(ValueError):
