@@ -8,13 +8,9 @@ Wasserstein ball around the out-of-sample distribution.
 
 from .measures import (
     FiniteMeasure,
-    cdf,
-    empirical_from,
     from_text,
     make_finite_measure,
-    mean,
     quantile,
-    sample,
     to_text,
 )
 from .metrics import DistanceKind, in_ball, kolmogorov, total_variation, wasserstein1
@@ -47,9 +43,7 @@ __all__ = [
     "analytic_bounds",
     "apply_policy",
     "bernstein_eval",
-    "cdf",
     "dro_regret_scan",
-    "empirical_from",
     "exact_regret",
     "exhaustive_regret_n2",
     "expected_objective",
@@ -57,7 +51,6 @@ __all__ = [
     "in_ball",
     "kolmogorov",
     "make_finite_measure",
-    "mean",
     "monte_carlo_regret",
     "objective",
     "objective_stats",
@@ -67,7 +60,6 @@ __all__ = [
     "quantile",
     "recommended_parameter",
     "saa_diagnostic",
-    "sample",
     "ski_indifference_measure",
     "to_text",
     "total_variation",

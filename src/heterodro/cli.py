@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -126,6 +127,14 @@ class ExperimentConfig:
         for key in self.family_params:
             if key not in _FAMILY_PARAMS:
                 raise ConfigInvalid(f"unknown parameter {key!r}")
+        # The witness inherits these from the problem; the bounds and the
+        # CSV always use the problem's, so a differing value is refused.
+        for key in ("M", "c_u", "c_o", "b"):
+            own, given = getattr(self.problem, key), self.family_params.get(key)
+            if own is not None and given is not None and given != own:
+                raise ConfigInvalid(
+                    f"parameter {key}={given:g} contradicts the problem's {key}={own:g}"
+                )
 
 
 def default_family(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec) -> str:
@@ -297,11 +306,6 @@ def rows_to_csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def csv_to_rows(text: str) -> list[dict[str, str]]:
-    reader = csv.DictReader(io.StringIO(text))
-    return list(reader)
-
-
 # ---------------------------------------------------------------------------
 # command line
 
@@ -356,7 +360,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--strict", action="store_true", help="exit 3 on sandwich violation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged
+    (argparse copies ``append`` defaults before appending)."""
     parser = argparse.ArgumentParser(prog="hetero-dro")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -426,8 +433,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, KeyError) as exc:

@@ -15,12 +15,10 @@ measures are equal iff their fields compare equal bitwise.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 # Atoms closer than this are considered the same point; absorbs float noise
 # from arithmetic like M/2 - sqrt(M*eps)/2 on adversarial constructions.
@@ -55,8 +53,8 @@ class FiniteMeasure:
     """Canonical finite-support probability measure on [0, upper].
 
     Instances are immutable and hashable; construct through
-    :func:`make_finite_measure` (or :func:`empirical_from`), which owns
-    validation and canonicalization.
+    :func:`make_finite_measure`, which owns validation and
+    canonicalization.
     """
 
     support: tuple[float, ...]
@@ -143,24 +141,6 @@ def _from_canonical(
     return FiniteMeasure(tuple(support), tuple(_renormalized(list(weights))), float(upper))
 
 
-def cdf(m: FiniteMeasure, t: float) -> float:
-    """P(xi <= t); right-continuous step function with cdf(m, upper) == 1."""
-    k = bisect_right(m.support, t)
-    if k == 0:
-        return 0.0
-    if k == len(m.support):
-        return 1.0
-    return math.fsum(m.weights[:k])
-
-
-def tail(m: FiniteMeasure, t: float) -> float:
-    """P(xi >= t)."""
-    k = bisect_left(m.support, t)
-    if k == 0:
-        return 1.0
-    return math.fsum(m.weights[k:])
-
-
 def quantile(m: FiniteMeasure, q: float) -> float:
     """Generalized inverse inf{x : F(x) >= q}; q = 0 gives the smallest atom."""
     if not (0.0 <= q <= 1.0):
@@ -170,35 +150,6 @@ def quantile(m: FiniteMeasure, q: float) -> float:
     cw = list(accumulate(m.weights))
     i = bisect_left(cw, q)
     return m.support[min(i, len(m.support) - 1)]
-
-
-def mean(m: FiniteMeasure) -> float:
-    return math.fsum(p * w for p, w in zip(m.support, m.weights))
-
-
-def sample(m: FiniteMeasure, seed: int, n: int) -> list[float]:
-    """n i.i.d. inverse-CDF draws from a stream fully determined by seed.
-
-    Identical (seed, n, m) give identical output independent of any
-    execution parallelism.
-    """
-    if n < 1:
-        raise MeasureError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    cw = np.cumsum(m.weights)
-    idx = np.minimum(np.searchsorted(cw, u, side="right"), len(m.support) - 1)
-    sup = m.support
-    return [sup[i] for i in idx]
-
-
-def empirical_from(samples: Iterable[float], upper: float) -> FiniteMeasure:
-    """Empirical measure: one atom per distinct value with weight count/n."""
-    xs = list(samples)
-    if not xs:
-        raise MeasureError("empirical measure needs at least one sample")
-    w = 1.0 / len(xs)
-    return make_finite_measure(xs, [w] * len(xs), upper)
 
 
 def mix(a: FiniteMeasure, b: FiniteMeasure, lam: float) -> FiniteMeasure:

@@ -131,8 +131,11 @@ def objective(p: ProblemSpec, x, xi) -> np.ndarray:
     broadcast against each other; the result is a float array of their
     broadcast shape, 0-d for scalar inputs.
     """
-    x = _in_interval(p, x, "action")
-    xi = _in_interval(p, xi, "realization")
+    return _g(p, _in_interval(p, x, "action"), _in_interval(p, xi, "realization"))
+
+
+def _g(p: ProblemSpec, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """:func:`objective` on float arrays already known to lie in [0, M]."""
     if p.kind is ProblemKind.NEWSVENDOR:
         return p.c_u * np.maximum(xi - x, 0.0) + p.c_o * np.maximum(x - xi, 0.0)
     if p.kind is ProblemKind.PRICING:
@@ -149,7 +152,9 @@ def expected_objective(p: ProblemSpec, x: float, m: FiniteMeasure) -> float:
     """
     if m.upper > p.M:
         raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
-    return math.fsum((np.asarray(m.weights) * objective(p, x, m.support)).tolist())
+    # The atoms lie in [0, m.upper] (FiniteMeasure), so only x is checked.
+    g = _g(p, _in_interval(p, x, "action"), np.asarray(m.support, dtype=float))
+    return math.fsum((np.asarray(m.weights) * g).tolist())
 
 
 def expected_objective_grid(p: ProblemSpec, xs: np.ndarray, m: FiniteMeasure) -> np.ndarray:

@@ -34,6 +34,16 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Rows of mu measures per distance block in dro_regret_scan; a block holds
 # _SCAN_BLOCK x n x L floats.
 _SCAN_BLOCK = 128
+# monte_carlo_regret counts a history's draws by one compare per atom
+# boundary (about 1.5 us + 0.2 ns per column) while it has this many columns
+# per atom, else by bincount(searchsorted) (10-40 ns per column): the
+# measured crossing over 250-40 000 columns and 2-64 atoms (timeit).
+_COLUMNS_PER_COMPARE = 128
+# It maps all columns by one padded table, _COLUMN_BLOCK columns per pass,
+# when the table's n x widest entries (about 2 ns each) cost less than one
+# Python iteration per distinct history (about 5 us, or 2500 entries).
+_ENTRIES_PER_GROUP = 2500
+_COLUMN_BLOCK = 4096
 
 
 class UnknownName(ValueError):
@@ -155,6 +165,17 @@ def monte_carlo_regret(
     and applies the policy.  Trial t uses the generator seeded by (seed, t),
     so results are independent of how trials are scheduled.  Every nu_i must
     live on mu's interval.
+
+    Draws are counted per atom, never placed: column i's uniform u picks
+    atom #{j < k-1 : cum_j <= u} of nu_i (cum the cumsum of its k weights),
+    so the last atom takes the rest even where cum rounds below 1.  A
+    history counts #(u < cum_j) per boundary and differences neighbours,
+    or bincounts a searchsorted over cum[:-1].  Many distinct histories
+    (up to one per column) share one table instead: each history's
+    cum[:-1] padded with +inf, which no uniform reaches, so summing
+    ``row <= u`` gives the same clamped index, then the union index, then
+    one bincount per trial.  The tables hold histories x widest entries;
+    a pass over ``_COLUMN_BLOCK`` columns holds O(_COLUMN_BLOCK) more.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -163,12 +184,12 @@ def monte_carlo_regret(
         raise ValueError("need at least one historical measure")
     opt_mu = opt_value(p, mu)
 
-    # Group identical historical measures so each group samples in one shot.
-    # Histories usually repeat a few objects: one stable sort of the ids (in
-    # C) puts each object's columns in one contiguous run of `order`, the
-    # O(atoms) work is paid once per object, and objects with equal content
-    # share one group.  Each column maps its own uniform through its group's
-    # table, so the order of groups and of columns changes no sample.
+    # Group identical historical measures so each group is set up once:
+    # one stable sort of the ids (in C) puts each object's columns in one
+    # contiguous run of `order`, the O(atoms) work is paid once per object,
+    # and objects with equal content share one group.  Each column maps its
+    # own uniform through its group's table, so the order of groups and of
+    # columns changes no count.
     ids = np.fromiter(map(id, nus), np.uintp, n)
     order = np.argsort(ids, kind="stable")
     bounds = (np.flatnonzero(np.diff(ids[order])) + 1).tolist()
@@ -190,19 +211,44 @@ def monte_carlo_regret(
     union_arr = np.asarray(union)
     index_of = {pt: i for i, pt in enumerate(union)}
     plans = [
-        (np.cumsum(wts), np.asarray([index_of[pt] for pt in sup]), cols)
+        (np.cumsum(wts)[:-1], np.asarray([index_of[pt] for pt in sup]), cols)
         for (sup, wts), cols in zip(runs_of, columns)
     ]
+    width = max(len(idx_map) for _, idx_map, _ in plans)
+    table = width * n < _ENTRIES_PER_GROUP * len(plans)
+    if table:
+        edge_rows = np.full((width - 1, len(plans)), np.inf)  # one row per boundary
+        union_rows = np.zeros(len(plans) * width, np.intp)  # row g at g * width
+        group_of = np.empty(n, np.intp)
+        for g, (edges, idx_map, cols) in enumerate(plans):
+            edge_rows[: len(edges), g] = edges
+            union_rows[g * width : g * width + len(idx_map)] = idx_map
+            group_of[cols] = g
+        drawn = np.empty(n, np.intp)
 
     regrets = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         u = rng.random(n)
-        sample_idx = np.empty(n, dtype=np.int64)
-        for cum, idx_map, cols in plans:
-            k = np.minimum(np.searchsorted(cum, u[cols], side="right"), len(idx_map) - 1)
-            sample_idx[cols] = idx_map[k]
-        counts = np.bincount(sample_idx, minlength=len(union))
+        if table:
+            for lo in range(0, n, _COLUMN_BLOCK):
+                block = slice(lo, lo + _COLUMN_BLOCK)
+                g, ub = group_of[block], u[block]
+                pos = g * width
+                for row in edge_rows:
+                    pos += row[g] <= ub
+                drawn[block] = union_rows[pos]
+            counts = np.bincount(drawn, minlength=len(union))
+        else:
+            counts = np.zeros(len(union), np.int64)
+            for edges, idx_map, cols in plans:
+                uc = u[cols]
+                if len(idx_map) * _COLUMNS_PER_COMPARE <= len(uc):
+                    below = [np.count_nonzero(uc < c) for c in edges.tolist()]
+                    counts[idx_map] += np.diff([0, *below, len(uc)])
+                else:
+                    k = np.searchsorted(edges, uc, side="right")
+                    counts[idx_map] += np.bincount(k, minlength=len(idx_map))
         nz = counts > 0
         m_hat = _from_canonical(
             union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper

@@ -13,7 +13,7 @@ import pytest
 
 from heterodro.approx import bernstein_error_check
 from heterodro.cli import default_scan_grid, fit_rate, main
-from heterodro.measures import empirical_from, make_finite_measure, mean, mix
+from heterodro.measures import make_finite_measure, mix
 from heterodro.metrics import (
     DistanceKind,
     distance,
@@ -43,7 +43,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import random_measure
+from conftest import empirical_from, mean, random_measure
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()

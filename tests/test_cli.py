@@ -1,6 +1,11 @@
 import contextlib
+import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -12,7 +17,7 @@ from heterodro.cli import (
     DegeneratePoints,
     ExperimentConfig,
     NoPositivePoints,
-    csv_to_rows,
+    build_parser,
     default_family,
     fit_rate,
     main,
@@ -27,6 +32,10 @@ from heterodro.problems import ProblemSpec
 from heterodro.regret import RegretReport
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
+
+
+def csv_to_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestFitRate:
@@ -346,6 +355,41 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: unknown parameter {key!r}\n"
 
+    @pytest.mark.parametrize(
+        "problem, key, value, own",
+        [
+            ("newsvendor:1,1,1", "c_u", "2", "1"),
+            ("newsvendor:1,1,1", "c_o", "0.5", "1"),
+            ("newsvendor:1,1,1", "M", "2", "1"),
+            ("ski:3,10", "b", "4", "3"),
+            ("ski:3,10", "M", "12", "10"),
+            ("pricing:1", "M", "1.5", "1"),
+        ],
+    )
+    def test_params_contradicting_problem_exit_2(self, capsys, problem, key, value, own):
+        # the witness would use --params while the bounds and the CSV use
+        # --problem: refused before any row
+        argv = ["rates", "--problem", problem, "--kind", "tv", "--eps-grid", "0.01,0.02",
+                "--params", f"{key}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter {key}={value} contradicts the problem's {key}={own}\n"
+        # an unknown key is still named first
+        assert main(argv[:-1] + [f"{argv[-1]},cu=2"]) == 2
+        assert capsys.readouterr().err == "error: unknown parameter 'cu'\n"
+
+    @pytest.mark.parametrize(
+        "problem, params",
+        [("newsvendor:2,1,1", "c_u=2,c_o=1.0,M=1"), ("ski:3,10", "b=3,M=10"), ("pricing:1", "M=1")],
+    )
+    def test_params_agreeing_with_problem_run(self, capsys, problem, params):
+        argv = ["rates", "--problem", problem, "--kind", "k", "--eps-grid", "0.01,0.02,0.05"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--params", params]) == 0
+        assert capsys.readouterr().out == plain
+
     @pytest.mark.parametrize("policy", ["cap:nan", "cap:inf"])
     def test_non_finite_cap_exits_2(self, capsys, policy):
         argv = ["regret", "--problem", "ski:3,10", "--policy", policy,
@@ -447,6 +491,43 @@ def run_captured(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class TestCachedParser:
+    """``main`` reuses one parser per process; no call may leave a trace on
+    the next."""
+
+    def run_in_process(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejections
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def run_fresh(self, argv):
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "heterodro.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_repeated_calls_match_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
+        rates = ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k",
+                 "--eps-grid", "0.01,0.02,0.05"]
+        runs = [
+            rates + ["--params", "eps=0.1"],
+            rates,  # the --params list of the call before must not leak
+            ["rates", "--kind", "k"],  # argparse: required arguments missing
+            ["distance", "--kind", "k", "--a", "0.5:1@1", "--b", "0.2:0.5,0.7:0.5@1"],
+        ]
+        got = [self.run_in_process(argv) for argv in runs]
+        assert got == [self.run_fresh(argv) for argv in runs]
+        assert [code for code, _, _ in got] == [0, 0, 2, 0]
+        assert got[0][1] != got[1][1]
+        assert build_parser() is build_parser()
 
 
 def parses(parse, text):

@@ -10,18 +10,14 @@ from heterodro.measures import (
     PointOutOfRange,
     QOutOfRange,
     WeightsNotNormalized,
-    cdf,
-    empirical_from,
     from_text,
     make_finite_measure,
-    mean,
     quantile,
-    sample,
     to_text,
 )
 from heterodro.metrics import kolmogorov
 
-from conftest import random_measure
+from conftest import cdf, empirical_from, mean, random_measure, sample
 
 
 def delta(p, upper):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import FiniteMeasure, empirical_from, make_finite_measure, mix
+from heterodro.measures import FiniteMeasure, make_finite_measure, mix
 from heterodro.metrics import (
     DistanceKind,
     MismatchedInterval,
@@ -17,7 +17,7 @@ from heterodro.metrics import (
     weights_on,
 )
 
-from conftest import random_measure
+from conftest import empirical_from, random_measure
 
 ALL_KINDS = list(DistanceKind)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heterodro.measures import empirical_from, make_finite_measure
+from heterodro.measures import make_finite_measure
 from heterodro.metrics import DistanceKind
 from heterodro.policies import (
     CappedOnNonSki,
@@ -17,7 +17,7 @@ from heterodro.policies import (
 )
 from heterodro.problems import ProblemSpec, oracle
 
-from conftest import random_measure
+from conftest import empirical_from, random_measure
 
 PR = ProblemSpec.pricing(1)
 SKI = ProblemSpec.ski_rental(4, 10)

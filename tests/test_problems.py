@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import cdf, make_finite_measure, tail
+from heterodro.measures import make_finite_measure
 from heterodro.metrics import wasserstein1
 from heterodro.problems import (
     OutOfRange,
@@ -19,7 +19,7 @@ from heterodro.problems import (
 )
 from heterodro.regret import ski_indifference_measure
 
-from conftest import random_measure
+from conftest import cdf, random_measure, tail
 
 NV = ProblemSpec.newsvendor(1, 1, 1)
 PR = ProblemSpec.pricing(1)
@@ -387,8 +387,6 @@ class TestStructuralInequalities:
 
     def test_cdf_vs_wasserstein(self, rng):
         # F(x1) <= H(x2) + d_W / (x2 - x1) for x1 < x2
-        from heterodro.measures import cdf
-
         for _ in range(300):
             a, b = random_measure(rng), random_measure(rng)
             x1, x2 = sorted(rng.uniform(0, 1, size=2))

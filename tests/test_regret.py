@@ -1,11 +1,13 @@
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import _from_canonical, cdf, make_finite_measure, mean
+from heterodro.measures import _from_canonical, make_finite_measure, mix
 from heterodro.metrics import (
     DistanceKind,
     distance,
@@ -41,6 +43,8 @@ from heterodro.regret import (
     monte_carlo_regret,
     ski_indifference_measure,
 )
+
+from conftest import cdf, mean
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
@@ -153,6 +157,73 @@ def mc_histories(draw):
     return problem, pol, fresh(), [objects[i] for i in order]
 
 
+# Settings of monte_carlo_regret's counting, each forcing one regime; the
+# last keeps the module's own switches.  A block of 7 columns makes the
+# table pass cross block boundaries.
+COUNTING_REGIMES = {
+    "loop-compare": dict(_ENTRIES_PER_GROUP=0, _COLUMNS_PER_COMPARE=0),
+    "loop-search": dict(_ENTRIES_PER_GROUP=0, _COLUMNS_PER_COMPARE=10**9),
+    "table": dict(_ENTRIES_PER_GROUP=10**9, _COLUMN_BLOCK=7),
+    "default": dict(_COLUMN_BLOCK=regret._COLUMN_BLOCK),
+}
+
+
+def assert_matches_reference(p, pol, mu, nus, trials, seed):
+    want = reference_monte_carlo_regret(p, pol, mu, nus, trials, seed)
+    for name, regime in COUNTING_REGIMES.items():
+        with mock.patch.multiple(regret, **regime):
+            got = monte_carlo_regret(p, pol, mu, nus, trials, seed)
+        assert got.estimate.hex() == want.estimate.hex(), name
+        assert got.ci_half_width.hex() == want.ci_half_width.hex(), name
+
+
+@st.composite
+def mc_many_histories(draw):
+    """A problem, a policy, mu and a history of 1-39 distinct objects of
+    1-29 atoms: either each on its own support (the union grows with the
+    objects) or all on subsets of one shared support with their own
+    weights, atoms at 0 and at the upper end included."""
+    problem, pol = draw(
+        st.sampled_from(
+            [
+                (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
+                (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
+                (ProblemSpec.ski_rental(3.0, 10.0), SAA),
+                (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
+            ]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if problem.kind is ProblemKind.SKI_RENTAL:  # integer days
+        shared = np.arange(0.0, 11.0)
+    else:
+        shared = np.concatenate([[0.0, 10.0], rng.uniform(0.0, 10.0, size=30)])
+    drifting = draw(st.booleans())
+
+    def fresh():
+        k = int(rng.integers(1, min(30, len(shared)) + 1))
+        if drifting and problem.kind is not ProblemKind.SKI_RENTAL:
+            pts = rng.uniform(0.0, 10.0, size=k)
+            pts[: int(rng.integers(0, 3))] = rng.choice([0.0, 10.0])
+        else:
+            pts = rng.choice(shared, size=k, replace=False)
+        return make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(k)).tolist(), 10.0)
+
+    objects = [fresh() for _ in range(draw(st.integers(1, 39)))]
+    n = draw(st.integers(1, 1200))
+    return problem, pol, fresh(), [objects[i] for i in rng.integers(0, len(objects), n)]
+
+
+def below_one_cumsum(rng, k):
+    """Canonical weights of k >= 3 atoms whose running sum rounds below 1 at
+    the end (for k <= 2 it is always exactly 1)."""
+    for _ in range(1000):
+        w = make_finite_measure(np.arange(k).tolist(), rng.dirichlet(np.ones(k)).tolist(), 10.0)
+        if np.cumsum(w.weights)[-1] < 1.0:
+            return list(w.weights)
+    raise AssertionError(f"no {k}-atom weights with a cumsum below 1")
+
+
 class TestMonteCarlo:
     def test_degenerate_histories_have_zero_variance(self):
         p = ProblemSpec.pricing(1)
@@ -218,6 +289,61 @@ class TestMonteCarlo:
         want = reference_monte_carlo_regret(p, pol, mu, nus, trials, seed)
         assert got.estimate.hex() == want.estimate.hex()
         assert got.ci_half_width.hex() == want.ci_half_width.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mc_many_histories(), trials=st.integers(1, 3), seed=st.integers(0, 10**6))
+    def test_every_counting_regime_matches_reference(self, case, trials, seed):
+        p, pol, mu, nus = case
+        assert_matches_reference(p, pol, mu, nus, trials, seed)
+
+    def test_uniforms_on_the_cumulative_weights(self, monkeypatch):
+        # Uniforms exactly at, just below and just above every cumulative
+        # weight, 0, and the largest double below 1 at or above a cumsum that
+        # rounds below 1: the draws where a count could be off by one or the
+        # clamp to the last atom matters.
+        rng = np.random.default_rng(12)
+        objects = []
+        for k in (1, 2, 3, 5, 8, 2, 3, 4, 6, 7, 9, 2):
+            pts = np.sort(rng.choice(np.arange(11.0), size=k, replace=False))
+            wts = below_one_cumsum(rng, k) if k >= 3 else rng.dirichlet(np.ones(k)).tolist()
+            objects.append(make_finite_measure(pts.tolist(), wts, 10.0))
+        nus = [objects[i % len(objects)] for i in range(600)]
+        pools = []
+        for nu in nus:
+            cum = np.cumsum(nu.weights)
+            near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0]])
+            pools.append(np.append(near[near < 1.0], np.nextafter(1.0, 0.0)))
+
+        def edge_generator(seed_seq):
+            t = seed_seq.spawn_key[0]
+            draws = np.array([pool[(i + t) % len(pool)] for i, pool in enumerate(pools)])
+            return types.SimpleNamespace(random=lambda n: draws[:n])
+
+        monkeypatch.setattr(np.random, "default_rng", edge_generator)
+        p = ProblemSpec.newsvendor(2.0, 1.0, 10.0)
+        assert_matches_reference(p, SAA, objects[4], nus, 9, 0)
+
+    def test_heterogeneous_history_converges_to_the_mixture(self):
+        # The paper's DRO connection: n samples, each from its own nu_i in
+        # the ball, behave like n samples from the mixture (1/n) sum nu_i,
+        # which lies in the ball too (balls of an IPM are convex).  Every
+        # nu_i here is a distinct object with its own weights on {0.2, 0.5,
+        # 0.8}, so each trial counts 10^4 distinct histories.
+        p, n = ProblemSpec.newsvendor(1.0, 1.0, 1.0), 10_000
+        mu = make_finite_measure([0.2, 0.5, 0.8], [0.3, 0.15, 0.55], 1.0)
+        drift = np.random.default_rng(8).uniform(-0.05, 0.05, n)
+        nus = [make_finite_measure([0.2, 0.5, 0.8], [0.3, 0.28 + d, 0.42 - d], 1.0) for d in drift]
+        nu_bar = nus[0]
+        for i, nu in enumerate(nus[1:], 2):
+            nu_bar = mix(nu_bar, nu, (i - 1) / i)
+        assert in_ball(mu, nu_bar, K, 0.2)
+        # strict oracle margin: the median of nu_bar, 0.5, stays the median
+        # of every empirical CDF within 10 standard deviations of nu_bar's
+        assert cdf(nu_bar, 0.2) < 0.5 - 0.05 and cdf(nu_bar, 0.5) > 0.5 + 0.05
+        rep = monte_carlo_regret(p, SAA, mu, nus, trials=20, seed=4)
+        exact = exact_regret(p, SAA, mu, nu_bar)
+        assert exact > 0.0
+        assert abs(rep.estimate - exact) <= 3 * rep.ci_half_width + 1.0 / math.sqrt(n)
 
     def test_history_interval_must_match_mu(self):
         p = ProblemSpec.ski_rental(3, 10)
