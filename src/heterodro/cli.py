@@ -432,9 +432,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _reject_lone_dashes(args: argparse.Namespace) -> None:
+    """argparse before Python 3.12 drops a lone ``--`` given as an option's
+    value (``--policy=--``) and hands on ``[]`` in place of the string."""
+    for key, value in vars(args).items():
+        items = value if key == "params" else [value]
+        if any(isinstance(item, list) for item in items):
+            raise ConfigInvalid(f"argument --{key.replace('_', '-')}: expected a value, got '--'")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _reject_lone_dashes(args)
         return _dispatch(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -568,3 +568,16 @@ class TestMalformedText:
     def test_measure(self, text):
         assume(not parses(from_text, text))
         self.check(["oracle", "--problem=pricing:1", f"--measure={text}"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regret", "--problem=ski:3,10", "--policy=--", "--mu=5:1@10", "--nu=5:1@10"],
+            ["oracle", "--problem=--", "--measure=0.5:1@1"],
+            ["rates", "--problem=ski:3,10", "--kind=k", "--eps-grid=0.1", "--params=--"],
+            ["rates", "--problem=ski:3,10", "--kind=k", "--eps-grid=0.1", "--seed=--"],
+        ],
+    )
+    def test_lone_dash_value(self, argv):
+        # argparse before Python 3.12 turns the value "--" into []
+        self.check(argv)
