@@ -135,6 +135,8 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"parameter {key}={given:g} contradicts the problem's {key}={own:g}"
                 )
+        if "eps" in self.family_params:
+            raise ConfigInvalid("parameter eps is set by --eps-grid")
 
 
 def default_family(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec) -> str:
@@ -497,12 +499,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         pol = PolicySpec.from_text(args.policy)
         kind = DistanceKind.from_text(args.kind)
         if args.locations is not None:
-            locs = tuple(sorted(float(v) for v in args.locations.split(",")))
-            grid = ScanGrid(locs, args.weight_res or 100, args.max_atoms, args.max_pairs)
+            locs, res = tuple(sorted(float(v) for v in args.locations.split(","))), 100
         else:
-            grid = default_scan_grid(p, kind, pol, args.eps)
-            if args.weight_res:
-                grid = ScanGrid(grid.locations, args.weight_res, args.max_atoms, args.max_pairs)
+            default = default_scan_grid(p, kind, pol, args.eps)
+            locs, res = default.locations, default.weight_resolution
+        res = res if args.weight_res is None else args.weight_res
+        grid = ScanGrid(locs, res, args.max_atoms, args.max_pairs)
         report = dro_regret_scan(p, pol, kind, args.eps, grid)
         row = make_row("dro-scan", p, kind, pol.to_text(), args.eps, report)
         _emit(rows_to_csv([row]), args.out)

@@ -11,9 +11,11 @@ rows into per-location terms: |F_a - F_b| (CDFs by ``np.cumsum``, constant
 up to the next location) for K, |w_a - w_b| for TV, and |F_a - F_b| times
 the gap to the next location (or ``upper``) for W1.  K is their max, TV
 half their sum, W1 their sum.  The scalar distances sum with ``math.fsum``,
-correctly rounded whatever the order; the DRO scan sums a block of pairs
-with ``np.sum``, fast but possibly off from ``fsum`` in the last bits, so
-its witness is re-checked with the scalar :func:`in_ball`.
+correctly rounded whatever the order.  The DRO scan takes the same terms
+one location at a time (:func:`location_columns`, :func:`distance_block`)
+and keeps a running max or a running sum in location order, fast but
+possibly off from ``fsum`` in the last bits, so its witness is re-checked
+with the scalar :func:`in_ball`.
 """
 
 from __future__ import annotations
@@ -92,6 +94,35 @@ def distance_terms(
         return np.abs(wa - wb)
     dF = np.abs(np.cumsum(wa, axis=-1) - np.cumsum(wb, axis=-1))
     return dF * gaps if kind is DistanceKind.WASSERSTEIN else dF
+
+
+def location_columns(kind: DistanceKind, W: np.ndarray) -> np.ndarray:
+    """Row l: every measure's CDF (K, W1) or weight (TV) at location l."""
+    F = W if kind is DistanceKind.TOTAL_VARIATION else np.cumsum(W, axis=1)
+    return np.ascontiguousarray(F.T)
+
+
+def distance_block(
+    kind: DistanceKind, cols: np.ndarray, rows: np.ndarray, gaps: np.ndarray
+) -> np.ndarray:
+    """D[r, j] = d(measure rows[r], measure j) from :func:`location_columns`,
+    the terms of :func:`distance_terms` taken one location at a time on
+    (rows x n) arrays; TV and W1 add them left to right, which is
+    ``np.sum``'s order below 8 locations."""
+    D = t = None
+    for gap, c in zip(gaps, cols):
+        t = np.abs(np.subtract(c[rows, None], c, out=t), out=t)
+        if kind is DistanceKind.WASSERSTEIN:
+            t *= gap
+        if D is None:
+            D, t = t, None
+        elif kind is DistanceKind.KOLMOGOROV:
+            np.maximum(D, t, out=D)
+        else:
+            D += t
+    if kind is DistanceKind.TOTAL_VARIATION:
+        D *= 0.5
+    return D
 
 
 def _pair_terms(kind: DistanceKind, a: FiniteMeasure, b: FiniteMeasure) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import FiniteMeasure, _from_canonical, make_finite_measure
-from .metrics import BALL_SLACK, DistanceKind, distance_terms, in_ball, weights_on
+from .metrics import BALL_SLACK, DistanceKind, distance_block, in_ball, location_columns, weights_on
 from .policies import PolicyKind, PolicySpec, apply_policy, policy_action, recommended_parameter
 from .problems import (
     ProblemKind,
@@ -31,9 +31,9 @@ from .problems import (
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# Rows of mu measures per distance block in dro_regret_scan; a block holds
-# _SCAN_BLOCK x n x L floats.
-_SCAN_BLOCK = 128
+# dro_regret_scan takes the mu measures in blocks of rows whose (rows x n)
+# distance and regret arrays hold about this many floats each.
+_SCAN_ENTRIES = 1 << 17
 # monte_carlo_regret counts a history's draws by one compare per atom
 # boundary (about 1.5 us + 0.2 ns per column) while it has this many columns
 # per atom, else by bincount(searchsorted) (10-40 ns per column): the
@@ -697,25 +697,33 @@ def dro_regret_scan(
     # GA[i, j]: expected objective of action distinct[j] under measure i
     GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
     opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
+    # V[i, a]: regret of action distinct[a] under measure i; the pair
+    # (mu_i, nu_j) scores V[i, a_idx[j]].
+    V = np.abs(opts[:, None] - GA)
+    row_max = V[:, np.unique(a_idx)].max(axis=1)
+    cols = location_columns(kind, W)
 
-    # Reduce each block of terms as soon as it is built, so that no more
-    # than one block is alive at a time.
-    reduce_terms = {
-        DistanceKind.KOLMOGOROV: lambda terms: terms.max(axis=2),
-        DistanceKind.TOTAL_VARIATION: lambda terms: 0.5 * terms.sum(axis=2),
-        DistanceKind.WASSERSTEIN: lambda terms: terms.sum(axis=2),
-    }[kind]
+    # The witness is the first pair (row-major) of the largest score above
+    # best >= 0.  Rows whose scores are all <= best cannot move it, and pairs
+    # outside the ball score <= 0 (eps + BALL_SLACK - D has the exact sign).
+    # D may differ from the scalar distance in the last bit, so a pair on the
+    # ball's edge can pass here and fail in_ball: each new best is certified.
     best = 0.0
     best_pair: tuple[int, int] | None = None
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, n)
-        D = reduce_terms(distance_terms(kind, W[start:stop, None, :], W[None, :, :], gaps))
-        R = np.abs(opts[start:stop, None] - GA[start:stop][:, a_idx])
-        R[D > eps + BALL_SLACK] = -1.0
-        j = np.unravel_index(np.argmax(R), R.shape)
-        if R[j] > best:
-            best = float(R[j])
-            best_pair = (start + int(j[0]), int(j[1]))
+    step = max(1, _SCAN_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = start + np.flatnonzero(row_max[start : start + step] > best)
+        if rows.size:
+            D = distance_block(kind, cols, rows, gaps)
+            R = np.copysign(V[rows][:, a_idx], np.subtract(eps + BALL_SLACK, D, out=D), out=D)
+            while True:
+                r, j = divmod(int(np.argmax(R)), n)
+                if R[r, j] <= best:
+                    break
+                if in_ball(measures[rows[r]], measures[j], kind, eps):
+                    best, best_pair = float(R[r, j]), (int(rows[r]), j)
+                    break
+                R[r, j] = -1.0
 
     witness = None
     if best_pair is not None:

@@ -379,6 +379,16 @@ class TestCommands:
         assert main(argv[:-1] + [f"{argv[-1]},cu=2"]) == 2
         assert capsys.readouterr().err == "error: unknown parameter 'cu'\n"
 
+    @pytest.mark.parametrize("params", ["eps=0.1", "M=1,eps=0.05"])
+    def test_rates_eps_param_exits_2(self, capsys, params):
+        # the sweep's eps comes from --eps-grid; --params must not replace it
+        argv = ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k",
+                "--eps-grid", "0.01,0.02,0.05", "--params", params]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter eps is set by --eps-grid\n"
+
     @pytest.mark.parametrize(
         "problem, params",
         [("newsvendor:2,1,1", "c_u=2,c_o=1.0,M=1"), ("ski:3,10", "b=3,M=10"), ("pricing:1", "M=1")],
@@ -486,6 +496,51 @@ class TestCommands:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+class TestDroScanFlags:
+    """Every grid flag applies on the default per-cell grid too."""
+
+    SCAN = ["dro-scan", "--problem", "newsvendor:1,1,1", "--policy", "saa", "--kind", "k",
+            "--eps", "0.05"]
+
+    def test_max_pairs_on_default_grid(self, capsys):
+        # 3 locations at resolution 100, up to 2 atoms: 300 measures
+        assert main(self.SCAN + ["--max-pairs", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 90000 pairs exceed the cap 10\n"
+
+    def test_max_atoms_changes_the_grid(self, capsys):
+        # 3 + 3 * 99 + C(99, 2) = 5151 measures with a third atom
+        assert main(self.SCAN + ["--max-atoms", "3", "--max-pairs", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {5151**2} pairs exceed the cap 10\n"
+        # three point masses: 9 pairs fit under the cap
+        assert main(self.SCAN + ["--max-atoms", "1", "--max-pairs", "10"]) == 0
+        assert csv_to_rows(capsys.readouterr().out)[0]["regret_est"] == "0"
+
+    @pytest.mark.parametrize("value", ["0", "5"])
+    def test_max_atoms_out_of_range(self, capsys, value):
+        assert main(self.SCAN + ["--max-atoms", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_atoms must be between 1 and 4\n"
+
+    @pytest.mark.parametrize("locations", [[], ["--locations", "0,0.5,1"]], ids=["default", "given"])
+    def test_zero_weight_resolution(self, capsys, locations):
+        assert main(self.SCAN + locations + ["--weight-res", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight_resolution must be >= 1\n"
+
+    def test_weight_res_on_default_grid(self, capsys):
+        # the default newsvendor grid already has resolution 100
+        assert main(self.SCAN) == 0
+        plain = capsys.readouterr().out
+        assert main(self.SCAN + ["--weight-res", "100"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(self.SCAN + ["--weight-res", "3", "--max-pairs", "100"]) == 0
+        assert capsys.readouterr().out != plain
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -525,7 +580,9 @@ class TestCachedParser:
         ]
         got = [self.run_in_process(argv) for argv in runs]
         assert got == [self.run_fresh(argv) for argv in runs]
-        assert [code for code, _, _ in got] == [0, 0, 2, 0]
+        # eps belongs to --eps-grid: the first run is refused, the second,
+        # without --params, must run
+        assert [code for code, _, _ in got] == [2, 0, 2, 0]
         assert got[0][1] != got[1][1]
         assert build_parser() is build_parser()
 

@@ -10,8 +10,11 @@ from heterodro.metrics import (
     DistanceKind,
     MismatchedInterval,
     distance,
+    distance_block,
+    distance_terms,
     in_ball,
     kolmogorov,
+    location_columns,
     total_variation,
     wasserstein1,
     weights_on,
@@ -159,6 +162,35 @@ class TestKernelMatchesReference:
                 value = new(x, y)
                 assert type(value) is float
                 assert value.hex() == ref(x, y).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        n=st.integers(1, 12),
+        L=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distance_block_matches_terms(self, kind, n, L, seed):
+        # The scan's location-at-a-time block against the terms reduced over
+        # the location axis: bit-identical below 8 locations, where np.sum
+        # adds left to right; from 8 on np.sum adds pairwise.
+        rng = np.random.default_rng(seed)
+        Wm = rng.dirichlet(np.ones(L), size=n) * (rng.random((n, L)) < 0.7)
+        locs = np.sort(rng.random(L))
+        gaps = np.append(locs[1:], 1.0) - locs
+        rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        terms = distance_terms(kind, Wm[rows, None, :], Wm[None, :, :], gaps)
+        expected = {
+            DistanceKind.KOLMOGOROV: lambda: terms.max(axis=2),
+            DistanceKind.TOTAL_VARIATION: lambda: 0.5 * terms.sum(axis=2),
+            DistanceKind.WASSERSTEIN: lambda: terms.sum(axis=2),
+        }[kind]()
+        got = distance_block(kind, location_columns(kind, Wm), rows, gaps)
+        assert got.shape == expected.shape
+        if L < 8:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_atom_off_locations_raises(self):
         m = make_finite_measure([0.2, 0.7], [0.5, 0.5], 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from heterodro.measures import _from_canonical, make_finite_measure, mix
 from heterodro.metrics import (
+    BALL_SLACK,
     DistanceKind,
     distance,
     distance_terms,
@@ -18,9 +20,16 @@ from heterodro.metrics import (
     wasserstein1,
     weights_on,
 )
-from heterodro.policies import PolicySpec, apply_policy, recommended_parameter
+from heterodro.policies import PolicySpec, apply_policy, policy_action, recommended_parameter
 from heterodro import regret
-from heterodro.problems import ProblemKind, ProblemSpec, expected_objective, opt_value, oracle
+from heterodro.problems import (
+    ProblemKind,
+    ProblemSpec,
+    expected_objective,
+    objective,
+    opt_value,
+    oracle,
+)
 from heterodro.regret import (
     AdversarialPair,
     EpsTooLarge,
@@ -505,6 +514,98 @@ class TestFixedActionMinimax:
         assert value == pytest.approx(0.05, abs=1e-12)
 
 
+def reference_dro_regret_scan(p, pol, kind, eps, grid):
+    """The scan's pair loop with 3-D blocks: 128 mu rows x n x L terms from
+    ``distance_terms``, reduced over the locations by ``max``/``np.sum``.
+    The reference for ``dro_regret_scan``; returns (estimate, (mu, nu) or
+    None)."""
+    n = grid.measure_count
+    measures = enumerate_grid_measures(grid, p.M)
+
+    locs = np.asarray(grid.locations)
+    W = weights_on(measures, locs)
+    gaps = np.append(locs[1:], p.M) - locs
+
+    oracle_actions = [oracle(p, m) for m in measures]
+    actions = [policy_action(pol, p, a) for a in oracle_actions]
+    distinct = sorted(set(actions) | set(oracle_actions))
+    col = {a: j for j, a in enumerate(distinct)}
+    a_idx = np.asarray([col[a] for a in actions])
+    GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
+    opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
+
+    reduce_terms = {
+        DistanceKind.KOLMOGOROV: lambda terms: terms.max(axis=2),
+        DistanceKind.TOTAL_VARIATION: lambda terms: 0.5 * terms.sum(axis=2),
+        DistanceKind.WASSERSTEIN: lambda terms: terms.sum(axis=2),
+    }[kind]
+    best = 0.0
+    best_pair = None
+    for start in range(0, n, 128):
+        stop = min(start + 128, n)
+        D = reduce_terms(distance_terms(kind, W[start:stop, None, :], W[None, :, :], gaps))
+        R = np.abs(opts[start:stop, None] - GA[start:stop][:, a_idx])
+        R[D > eps + BALL_SLACK] = -1.0
+        j = np.unravel_index(np.argmax(R), R.shape)
+        if R[j] > best:
+            best = float(R[j])
+            best_pair = (start + int(j[0]), int(j[1]))
+    if best_pair is None:
+        return best, None
+    i, j = best_pair
+    return best, (measures[i], measures[j])
+
+
+SCAN_CELLS = [
+    (ProblemSpec.newsvendor(1, 2, 1), SAA),
+    (ProblemSpec.newsvendor(1, 2, 1), PolicySpec.delta_saa(0.1)),
+    (ProblemSpec.pricing(1), SAA),
+    (ProblemSpec.pricing(1), PolicySpec.delta_saa(-0.1)),
+    (ProblemSpec.ski_rental(3, 10), SAA),
+    (ProblemSpec.ski_rental(3, 10), PolicySpec.capped(2.0)),
+]
+
+
+@st.composite
+def scan_cases(draw, locations, resolution):
+    """A policy cell, a distance, a grid, an eps and a block budget for
+    ``regret._SCAN_ENTRIES``.  eps is drawn at random, or is the scalar
+    distance of one of the grid's pairs, or puts that pair exactly on the
+    scan's boundary: eps + BALL_SLACK equals its distance as the 3-D blocks
+    reduce it."""
+    problem, pol = draw(st.sampled_from(SCAN_CELLS))
+    kind = draw(st.sampled_from([K, TV, W]))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=locations[0],
+                              max_size=locations[1], unique=True))
+    locs = tuple(sorted({f * problem.M for f in fractions}))
+    grid = ScanGrid(
+        locs,
+        weight_resolution=draw(st.integers(*resolution)),
+        max_atoms=draw(st.integers(1, 3)),
+    )
+    index = st.integers(0, grid.measure_count - 1)
+    pair = draw(st.none() | st.tuples(index, index, st.sampled_from(["scalar", "boundary"])))
+    if pair is None:
+        eps = draw(st.floats(0.0, 0.6))
+    else:
+        i, j, mode = pair
+        ms = enumerate_grid_measures(grid, problem.M)
+        if mode == "scalar":
+            eps = distance(kind, ms[i], ms[j])
+        else:
+            arr = np.asarray(locs)
+            Wm = weights_on([ms[i], ms[j]], arr)
+            terms = distance_terms(kind, Wm[0], Wm[1], np.append(arr[1:], problem.M) - arr)
+            d = terms.max() if kind is K else terms.sum() * (0.5 if kind is TV else 1.0)
+            eps = max(d - BALL_SLACK, 0.0)
+            for _ in range(4):  # undo the rounding of d - BALL_SLACK
+                if eps == 0.0 or eps + BALL_SLACK == d:
+                    break
+                eps = float(np.nextafter(eps, math.inf if eps + BALL_SLACK < d else -math.inf))
+    entries = draw(st.sampled_from([1, 5, 64, 1 << 17]))
+    return problem, pol, kind, grid, eps, entries
+
+
 class TestScan:
     def test_zero_radius_saa_is_zero(self):
         cases = [
@@ -591,16 +692,7 @@ class TestScan:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        cell=st.sampled_from(
-            [
-                (ProblemSpec.newsvendor(1, 2, 1), SAA),
-                (ProblemSpec.newsvendor(1, 2, 1), PolicySpec.delta_saa(0.1)),
-                (ProblemSpec.pricing(1), SAA),
-                (ProblemSpec.pricing(1), PolicySpec.delta_saa(-0.1)),
-                (ProblemSpec.ski_rental(3, 10), SAA),
-                (ProblemSpec.ski_rental(3, 10), PolicySpec.capped(2.0)),
-            ]
-        ),
+        cell=st.sampled_from(SCAN_CELLS),
         kind=st.sampled_from([K, TV, W]),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
         resolution=st.integers(1, 8),
@@ -618,6 +710,70 @@ class TestScan:
         mu, (nu,) = rep.witness.mu, rep.witness.nus
         assert in_ball(mu, nu, kind, eps)
         assert rep.estimate == pytest.approx(exact_regret(problem, pol, mu, nu), abs=1e-9)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scan_cases(locations=(1, 7), resolution=(1, 12)))
+    def test_matches_reference(self, case):
+        # Below 8 locations the running sums add in np.sum's order, so the
+        # estimate and the witness are bit-identical to the 3-D blocks,
+        # whatever the block size (which sets how often rows are pruned).
+        problem, pol, kind, grid, eps, entries = case
+        with mock.patch.object(regret, "_SCAN_ENTRIES", entries):
+            rep = dro_regret_scan(problem, pol, kind, eps, grid)
+        estimate, pair = reference_dro_regret_scan(problem, pol, kind, eps, grid)
+        if pair is not None and not in_ball(pair[0], pair[1], kind, eps):
+            # The reference's witness fails in_ball (the old scan raised on
+            # it); the scan reports the best pair that passes instead.
+            assert rep.estimate <= estimate
+            assert rep.witness is None or in_ball(rep.witness.mu, rep.witness.nus[0], kind, eps)
+            return
+        assert rep.estimate.hex() == estimate.hex()
+        if pair is None:
+            assert rep.witness is None
+        else:
+            assert (rep.witness.mu, rep.witness.nus) == (pair[0], (pair[1],))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=scan_cases(locations=(8, 10), resolution=(1, 5)))
+    def test_many_locations_certified(self, case):
+        # From 8 locations np.sum adds pairwise and the running sums may
+        # differ from it in the last bit, so only the certificate is checked.
+        problem, pol, kind, grid, eps, entries = case
+        with mock.patch.object(regret, "_SCAN_ENTRIES", entries):
+            rep = dro_regret_scan(problem, pol, kind, eps, grid)
+        if rep.witness is None:
+            assert rep.estimate == 0.0
+            return
+        mu, (nu,) = rep.witness.mu, rep.witness.nus
+        assert in_ball(mu, nu, kind, eps)
+        assert rep.estimate == pytest.approx(exact_regret(problem, pol, mu, nu), abs=1e-9)
+
+    def test_edge_pair_failing_in_ball_is_not_reported(self):
+        # At this eps the block's TV sum puts the best pair inside the ball
+        # and the scalar distance puts it just outside: the old scan picked
+        # it and raised ValueError building the witness.
+        p, eps = ProblemSpec.newsvendor(1, 2, 1), 0.9999999999989999
+        grid = ScanGrid((0.0, 0.5, 0.75, 0.875, 1.0), weight_resolution=3, max_atoms=2)
+        _, (ref_mu, ref_nu) = reference_dro_regret_scan(p, SAA, TV, eps, grid)
+        assert not in_ball(ref_mu, ref_nu, TV, eps)
+        rep = dro_regret_scan(p, SAA, TV, eps, grid)
+        mu, (nu,) = rep.witness.mu, rep.witness.nus
+        assert in_ball(mu, nu, TV, eps)
+        assert rep.estimate == pytest.approx(exact_regret(p, SAA, mu, nu), abs=1e-9)
+
+    def test_block_memory(self):
+        # 1905 measures: the distance and regret blocks are (rows x n) with
+        # rows x n about _SCAN_ENTRIES, not 128 rows x n x L.
+        grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9), weight_resolution=20, max_atoms=3)
+        assert grid.measure_count == 1905
+        tracemalloc.start()
+        try:
+            dro_regret_scan(ProblemSpec.newsvendor(1, 1, 1), SAA, K, 0.1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestAnalyticBounds:
