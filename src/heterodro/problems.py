@@ -223,6 +223,62 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
     return best_x
 
 
+def oracle_rows(p: ProblemSpec, W: np.ndarray, locs: np.ndarray) -> np.ndarray:
+    """:func:`oracle` of every row of ``W``, bit for bit; row i holds the
+    weights of a canonical measure on [0, M] at the sorted ``locs`` (0.0
+    off its atoms).
+
+    Each row repeats the scalar arithmetic over its atoms: a 0.0 weight
+    leaves a running sum unchanged, and ``np.cumsum`` adds in the same order
+    as ``accumulate``.  Ski-rental rows with more than one candidate under
+    the screen's rounding cut go to :func:`oracle` itself, whose exact
+    costs break their ties.
+    """
+    n, L = W.shape
+    held = W > 0.0
+    if p.kind is ProblemKind.NEWSVENDOR:
+        # quantile: the first atom whose cumulative weight reaches q, else
+        # the last atom.
+        hit = held & (np.cumsum(W, axis=1) >= p.critical_fractile)
+        last = L - 1 - np.argmax(held[:, ::-1], axis=1)
+        return locs[np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)]
+    if p.kind is ProblemKind.PRICING:
+        best_col = np.zeros(n, dtype=np.intp)
+        best_rev = np.full(n, -math.inf)
+        remaining = np.ones(n)
+        for j in range(L):
+            rev = locs[j] * remaining
+            better = held[:, j] & (rev > best_rev)
+            best_rev[better] = rev[better]
+            best_col[better] = j
+            remaining -= W[:, j]
+        return locs[best_col]
+    b = p.b
+    moment = np.zeros(n)
+    mass = W[:, 0].copy() if locs[0] <= 0.0 else np.zeros(n)
+    # Column 0 screens x = 0, column j + 1 the atom at locs[j] (inf if none).
+    screened = np.full((n, L + 1), math.inf)
+    screened[:, 0] = b * (1.0 - mass)
+    for j in range(L):
+        s = locs[j]
+        if s > 0.0:
+            moment += W[:, j] * s
+            mass += W[:, j]
+            screened[held[:, j], j + 1] = (moment + (b + s) * (1.0 - mass))[held[:, j]]
+    cut = screened.min(axis=1) + 8.0 * (held.sum(axis=1) + 9) * 2.0**-53 * (2.0 * p.M + b)
+    survivors = screened <= cut[:, None]
+    actions = np.concatenate(([0.0], locs))[np.argmax(survivors, axis=1)]
+    for i in np.flatnonzero(survivors.sum(axis=1) > 1):
+        actions[i] = oracle(p, _row_measure(W[i], locs, p.M))
+    return actions
+
+
+def _row_measure(row: np.ndarray, locs: np.ndarray, upper: float) -> FiniteMeasure:
+    """The canonical measure whose weights at ``locs`` are ``row``."""
+    held = row > 0.0
+    return FiniteMeasure(tuple(locs[held].tolist()), tuple(row[held].tolist()), float(upper))
+
+
 def opt_value(p: ProblemSpec, m: FiniteMeasure) -> float:
     """Expected objective of the oracle action."""
     return expected_objective(p, oracle(p, m), m)

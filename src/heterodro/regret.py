@@ -11,23 +11,26 @@ matching analytic lower/upper bound pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FiniteMeasure, _from_canonical, make_finite_measure
+from .measures import MERGE_TOL, FiniteMeasure, _from_canonical, _renormalized, make_finite_measure
 from .metrics import BALL_SLACK, DistanceKind, distance_block, in_ball, location_columns, weights_on
 from .policies import PolicyKind, PolicySpec, apply_policy, policy_action, recommended_parameter
 from .problems import (
     ProblemKind,
     ProblemSpec,
+    _row_measure,
     expected_objective,
     expected_objective_grid,
     objective,
     opt_value,
     oracle,
+    oracle_rows,
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -611,6 +614,14 @@ def evaluate_pair(pair: AdversarialPair, pol: PolicySpec | None = None) -> float
 
 # ---------------------------------------------------------------------------
 # brute-force DRO scan
+#
+# The scan never builds the grid's measures one by one.  grid_weight_rows
+# writes them as weight rows over the grid's locations, problems.oracle_rows
+# gives every row's oracle action at once (bit-identical to oracle), and the
+# policy is applied once per distinct oracle action.  A FiniteMeasure is
+# built from its row only for a pair that in_ball certifies and for the
+# witness.  The pair loop (metrics.location_columns, metrics.distance_block)
+# is what is left of the O(n^2 L) cost.
 
 
 @dataclass(frozen=True)
@@ -629,13 +640,16 @@ class ScanGrid:
             raise ValueError("max_atoms must be between 1 and 4")
         if self.weight_resolution < 1:
             raise ValueError("weight_resolution must be >= 1")
+        for v in self.locations:
+            if not math.isfinite(v):
+                raise ValueError(f"scan location {v} is not finite")
         if len(self.locations) < 1 or list(self.locations) != sorted(set(self.locations)):
             raise ValueError("locations must be sorted and distinct")
 
     @property
     def measure_count(self) -> int:
-        """Number of measures :func:`enumerate_grid_measures` yields: for each
-        atom count a, C(L, a) location subsets times C(res - 1, a - 1)
+        """Number of grid measures (rows of :func:`grid_weight_rows`): for
+        each atom count a, C(L, a) location subsets times C(res - 1, a - 1)
         compositions of the resolution into a positive parts."""
         L, res = len(self.locations), self.weight_resolution
         return sum(
@@ -644,24 +658,39 @@ class ScanGrid:
         )
 
 
-def enumerate_grid_measures(grid: ScanGrid, upper: float) -> list[FiniteMeasure]:
-    """All grid measures on [0, upper], in a fixed deterministic order."""
+def grid_weight_rows(grid: ScanGrid, upper: float) -> np.ndarray:
+    """The grid's measures on [0, upper] as weight rows over its locations,
+    ordered by atom count, then location subset, then composition.
+
+    Row i is ``weights_on`` of the canonical measure that
+    :func:`make_finite_measure` builds from subset and composition i, bit
+    for bit: a composition's weights are canonicalised once, as it would
+    canonicalise them, and scattered into the rows of every subset.  A
+    subset holding two locations within ``MERGE_TOL`` of each other merges
+    them, so its rows are built through :func:`make_finite_measure`.
+    """
     locs = grid.locations
     if locs[0] < 0.0 or locs[-1] > upper:
         raise ValueError(f"grid locations must lie in [0, {upper}]")
     res = grid.weight_resolution
-    out = []
-    for a in range(1, min(grid.max_atoms, len(locs)) + 1):
-        for subset in itertools.combinations(range(len(locs)), a):
-            for cuts in itertools.combinations(range(1, res), a - 1):
-                bounds = (0,) + cuts + (res,)
-                counts = [bounds[i + 1] - bounds[i] for i in range(a)]
-                out.append(
-                    make_finite_measure(
-                        [locs[j] for j in subset], [c / res for c in counts], upper
-                    )
-                )
-    return out
+    arr = np.asarray(locs, dtype=float)
+    W = np.zeros((grid.measure_count, len(locs)))
+    start = 0
+    # A positive composition of res has at most res parts.
+    for a in range(1, min(grid.max_atoms, len(locs), res) + 1):
+        raw = [
+            [(hi - lo) / res for lo, hi in itertools.pairwise((0, *cuts, res))]
+            for cuts in itertools.combinations(range(1, res), a - 1)
+        ]
+        comps = np.array([_renormalized(list(w)) for w in raw])
+        subsets = np.array(list(itertools.combinations(range(len(locs)), a)))
+        rows = start + np.arange(len(subsets) * len(raw)).reshape(len(subsets), len(raw))
+        W[rows[:, :, None], subsets[:, None, :]] = comps
+        for s in np.flatnonzero((np.diff(arr[subsets], axis=1) <= MERGE_TOL).any(axis=1)):
+            pts = [locs[j] for j in subsets[s]]
+            W[rows[s]] = weights_on([make_finite_measure(pts, w, upper) for w in raw], arr)
+        start += rows.size
+    return W
 
 
 def dro_regret_scan(
@@ -680,23 +709,24 @@ def dro_regret_scan(
     n = grid.measure_count
     if n * n > grid.max_pairs:
         raise GridTooLarge(f"{n * n} pairs exceed the cap {grid.max_pairs}")
-    measures = enumerate_grid_measures(grid, p.M)
-
-    locs = np.asarray(grid.locations)
-    W = weights_on(measures, locs)
+    W = grid_weight_rows(grid, p.M)
+    locs = np.asarray(grid.locations, dtype=float)
     gaps = np.append(locs[1:], p.M) - locs
+    measure = functools.cache(lambda i: _row_measure(W[i], locs, p.M))
 
     # Evaluate both the policy actions and the oracle actions through the
     # same vectorized arithmetic, so SAA on the truth is exactly zero.  The
-    # policies are functions of the oracle action: one oracle call per measure.
-    oracle_actions = [oracle(p, m) for m in measures]
-    actions = [policy_action(pol, p, a) for a in oracle_actions]
-    distinct = sorted(set(actions) | set(oracle_actions))
+    # policies are functions of the oracle action, which is a location or 0:
+    # one policy_action call per distinct oracle action.
+    found, inverse = np.unique(oracle_rows(p, W, locs), return_inverse=True)
+    found = found.tolist()
+    chosen = [policy_action(pol, p, a) for a in found]
+    distinct = sorted(set(chosen) | set(found))
     col = {a: j for j, a in enumerate(distinct)}
-    a_idx = np.asarray([col[a] for a in actions])
+    a_idx = np.asarray([col[a] for a in chosen])[inverse]
     # GA[i, j]: expected objective of action distinct[j] under measure i
     GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
-    opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
+    opts = GA[np.arange(n), np.asarray([col[a] for a in found])[inverse]]
     # V[i, a]: regret of action distinct[a] under measure i; the pair
     # (mu_i, nu_j) scores V[i, a_idx[j]].
     V = np.abs(opts[:, None] - GA)
@@ -720,7 +750,7 @@ def dro_regret_scan(
                 r, j = divmod(int(np.argmax(R)), n)
                 if R[r, j] <= best:
                     break
-                if in_ball(measures[rows[r]], measures[j], kind, eps):
+                if in_ball(measure(int(rows[r])), measure(j), kind, eps):
                     best, best_pair = float(R[r, j]), (int(rows[r]), j)
                     break
                 R[r, j] = -1.0
@@ -731,8 +761,8 @@ def dro_regret_scan(
         witness = AdversarialPair(
             name="scan_witness",
             problem=p,
-            mu=measures[i],
-            nus=(measures[j],),
+            mu=measure(i),
+            nus=(measure(j),),
             kind=kind,
             eps=eps,
             target=None,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 from heterodro.measures import MeasureError, make_finite_measure
+from heterodro.metrics import BALL_SLACK, DistanceKind, distance_terms, weights_on
+from heterodro.policies import policy_action
+from heterodro.problems import objective, oracle
 
 
 def random_measure(rng, upper=1.0, max_atoms=5):
@@ -54,6 +58,70 @@ def empirical_from(samples, upper):
     if not xs:
         raise MeasureError("empirical measure needs at least one sample")
     return make_finite_measure(xs, [1.0 / len(xs)] * len(xs), upper)
+
+
+def enumerate_grid_measures(grid, upper):
+    """All grid measures on [0, upper], in a fixed deterministic order: the
+    reference for ``regret.grid_weight_rows``, one ``make_finite_measure``
+    per measure."""
+    locs = grid.locations
+    if locs[0] < 0.0 or locs[-1] > upper:
+        raise ValueError(f"grid locations must lie in [0, {upper}]")
+    res = grid.weight_resolution
+    out = []
+    for a in range(1, min(grid.max_atoms, len(locs)) + 1):
+        for subset in itertools.combinations(range(len(locs)), a):
+            for cuts in itertools.combinations(range(1, res), a - 1):
+                bounds = (0,) + cuts + (res,)
+                counts = [bounds[i + 1] - bounds[i] for i in range(a)]
+                out.append(
+                    make_finite_measure(
+                        [locs[j] for j in subset], [c / res for c in counts], upper
+                    )
+                )
+    return out
+
+
+def reference_dro_regret_scan(p, pol, kind, eps, grid):
+    """The scan's pair loop with 3-D blocks: 128 mu rows x n x L terms from
+    ``distance_terms``, reduced over the locations by ``max``/``np.sum``.
+    The reference for ``dro_regret_scan``; returns (estimate, (mu, nu) or
+    None)."""
+    n = grid.measure_count
+    measures = enumerate_grid_measures(grid, p.M)
+
+    locs = np.asarray(grid.locations)
+    W = weights_on(measures, locs)
+    gaps = np.append(locs[1:], p.M) - locs
+
+    oracle_actions = [oracle(p, m) for m in measures]
+    actions = [policy_action(pol, p, a) for a in oracle_actions]
+    distinct = sorted(set(actions) | set(oracle_actions))
+    col = {a: j for j, a in enumerate(distinct)}
+    a_idx = np.asarray([col[a] for a in actions])
+    GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
+    opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
+
+    reduce_terms = {
+        DistanceKind.KOLMOGOROV: lambda terms: terms.max(axis=2),
+        DistanceKind.TOTAL_VARIATION: lambda terms: 0.5 * terms.sum(axis=2),
+        DistanceKind.WASSERSTEIN: lambda terms: terms.sum(axis=2),
+    }[kind]
+    best = 0.0
+    best_pair = None
+    for start in range(0, n, 128):
+        stop = min(start + 128, n)
+        D = reduce_terms(distance_terms(kind, W[start:stop, None, :], W[None, :, :], gaps))
+        R = np.abs(opts[start:stop, None] - GA[start:stop][:, a_idx])
+        R[D > eps + BALL_SLACK] = -1.0
+        j = np.unravel_index(np.argmax(R), R.shape)
+        if R[j] > best:
+            best = float(R[j])
+            best_pair = (start + int(j[0]), int(j[1]))
+    if best_pair is None:
+        return best, None
+    i, j = best_pair
+    return best, (measures[i], measures[j])
 
 
 @pytest.fixture

@@ -34,7 +34,6 @@ from heterodro.regret import (
     ScanGrid,
     adversarial_instance,
     dro_regret_scan,
-    enumerate_grid_measures,
     evaluate_pair,
     exhaustive_regret_n2,
     fixed_action_minimax,
@@ -43,7 +42,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import empirical_from, mean, random_measure
+from conftest import empirical_from, enumerate_grid_measures, mean, random_measure
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()

@@ -19,17 +19,20 @@ from heterodro.cli import (
     NoPositivePoints,
     build_parser,
     default_family,
+    default_scan_grid,
     fit_rate,
     main,
     make_row,
     rows_to_csv,
     run_experiment,
 )
-from heterodro.measures import from_text
+from heterodro.measures import from_text, to_text
 from heterodro.metrics import DistanceKind
-from heterodro.policies import PolicySpec
+from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro.problems import ProblemSpec
-from heterodro.regret import RegretReport
+from heterodro.regret import RegretReport, dro_regret_scan
+
+from conftest import reference_dro_regret_scan
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 
@@ -539,6 +542,49 @@ class TestDroScanFlags:
         assert capsys.readouterr().out == plain
         assert main(self.SCAN + ["--weight-res", "3", "--max-pairs", "100"]) == 0
         assert capsys.readouterr().out != plain
+
+    @pytest.mark.parametrize("locations, bad", [("nan", "nan"), ("0.5,nan", "nan"), ("inf", "inf")])
+    def test_non_finite_location_exits_2(self, capsys, locations, bad):
+        assert main(self.SCAN + ["--locations", locations]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scan location {bad} is not finite\n"
+
+
+class TestDroScanParity:
+    """dro-scan on each cell's default grid gives the estimate and witness of
+    the reference scan, which builds every grid measure and calls the scalar
+    oracle (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1])
+    @pytest.mark.parametrize("kind", [K, TV, W], ids=["k", "tv", "w"])
+    @pytest.mark.parametrize("problem", ["newsvendor:1,2,1", "pricing:1", "ski:3,10"])
+    def test_default_grid_matches_reference(self, capsys, problem, kind, eps):
+        p = ProblemSpec.from_text(problem)
+        pol = recommended_parameter(p, kind, eps)
+        grid = default_scan_grid(p, kind, pol, eps)
+        estimate, (mu, nu) = reference_dro_regret_scan(p, pol, kind, eps, grid)
+        rep = dro_regret_scan(p, pol, kind, eps, grid)
+        assert rep.estimate.hex() == estimate.hex()
+        assert (rep.witness.mu, rep.witness.nus) == (mu, (nu,))
+        argv = ["dro-scan", "--problem", problem, "--policy", pol.to_text(),
+                "--kind", kind.value, "--eps", repr(eps)]
+        assert main(argv) == 0
+        (row,) = csv_to_rows(capsys.readouterr().out)
+        assert row["regret_est"] == f"{estimate:.12g}"
+        assert row["witness"] == f"scan_witness;mu={to_text(mu)};nus={to_text(nu)}"
+
+    def test_close_locations_row(self, capsys):
+        # The default grid is (0.4999999999999, 0.49999999999995, 0.5, 1.0):
+        # subsets holding two of the first three locations merge them.
+        argv = ["dro-scan", "--problem", "pricing:1", "--policy", "dsaa:-0.001",
+                "--kind", "w", "--eps", "1e-26"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            ",".join(CSV_HEADER) + "\n"
+            "dro-scan,pricing,wasserstein,dsaa:-0.001,1e-26,1,,,0,0,0,0.0010000000001,0,,,"
+            '"scan_witness;mu=0.5:0.85,1.0:0.15@1.0;nus=0.4999999999999:0.85,1.0:0.15@1.0",\n'
+        )
 
 
 def run_captured(argv):

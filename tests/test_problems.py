@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heterodro.measures import make_finite_measure
-from heterodro.metrics import wasserstein1
+from heterodro.metrics import wasserstein1, weights_on
 from heterodro.problems import (
     OutOfRange,
     ProblemKind,
@@ -16,10 +16,11 @@ from heterodro.problems import (
     objective,
     opt_value,
     oracle,
+    oracle_rows,
 )
-from heterodro.regret import ski_indifference_measure
+from heterodro.regret import ScanGrid, ski_indifference_measure
 
-from conftest import cdf, random_measure, tail
+from conftest import cdf, enumerate_grid_measures, random_measure, tail
 
 NV = ProblemSpec.newsvendor(1, 1, 1)
 PR = ProblemSpec.pricing(1)
@@ -359,6 +360,88 @@ class TestSkiOracleScreen:
             vals, counts = np.unique(xs, return_counts=True)
             m = make_finite_measure(vals.tolist(), (counts / len(xs)).tolist(), 250)
             assert oracle(p, m).hex() == reference_ski_oracle(p, m).hex()
+
+
+# q = 1.0 exactly and q just below 1: a row whose running sum ends below q
+# takes its last atom (quantile's clamp).
+ROW_PROBLEMS = [
+    NV,
+    ProblemSpec.newsvendor(3, 1, 1),
+    ProblemSpec.newsvendor(1, 1e-20, 1),
+    ProblemSpec.newsvendor(1, 1e-15, 1),
+    PR,
+    ProblemSpec.pricing(4),
+    SKI,
+    ProblemSpec.ski_rental(1, 4),
+]
+
+
+@st.composite
+def row_grids(draw):
+    """A problem and a grid on [0, M]: random locations, a 1/8 lattice
+    (whose weights tie pricing revenues), or integers for ski rental."""
+    p = draw(st.sampled_from(ROW_PROBLEMS))
+    shapes = [st.floats(0.0, p.M), st.integers(0, 8).map(lambda k: k / 8 * p.M)]
+    if p.kind is ProblemKind.SKI_RENTAL:
+        shapes.append(st.integers(0, int(p.M)).map(float))
+    points = draw(st.sampled_from(shapes))
+    locs = tuple(sorted(draw(st.lists(points, min_size=1, max_size=5, unique=True))))
+    grid = ScanGrid(locs, draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    assume(grid.measure_count <= 3000)
+    return p, grid
+
+
+def assert_rows_match_oracle(p, measures, locs):
+    got = oracle_rows(p, weights_on(measures, locs), locs).tolist()
+    assert [a.hex() for a in got] == [oracle(p, m).hex() for m in measures]
+
+
+class TestOracleRows:
+    """oracle_rows gives oracle's action on every row, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_grids())
+    def test_grid_rows(self, case):
+        p, grid = case
+        locs = np.asarray(grid.locations, dtype=float)
+        assert_rows_match_oracle(p, enumerate_grid_measures(grid, p.M), locs)
+
+    @pytest.mark.parametrize("M", range(3, 16))
+    def test_ski_indifference_ties(self, M):
+        # Every candidate of an indifference measure ties in real
+        # arithmetic; the grid on its support adds rows near such ties.
+        for b in range(2, M):
+            p, m = ProblemSpec.ski_rental(b, M), ski_indifference_measure(M, b)
+            locs = np.asarray((0.0,) + m.support)
+            grid = ScanGrid(tuple(locs.tolist()), weight_resolution=3, max_atoms=3)
+            assert_rows_match_oracle(p, [m] + enumerate_grid_measures(grid, M), locs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ski_instances())
+    def test_ski_measures(self, instance):
+        p, m = instance
+        assert_rows_match_oracle(p, [m], np.asarray(m.support))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.sampled_from(ROW_PROBLEMS[2:4]),
+        locs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5, unique=True),
+        resolution=st.integers(6, 14),
+    )
+    def test_newsvendor_fractile_near_one(self, p, locs, resolution):
+        # Three atoms at these resolutions give rows whose running sum ends
+        # below 1.0.
+        grid = ScanGrid(tuple(sorted(locs)), resolution, max_atoms=3)
+        assert_rows_match_oracle(p, enumerate_grid_measures(grid, p.M), np.asarray(grid.locations))
+
+    def test_newsvendor_clamp(self):
+        # Rows whose running sum ends below q = 1.0 take their last atom.
+        p = ProblemSpec.newsvendor(1, 1e-20, 1)
+        grid = ScanGrid((0.0, 0.5, 1.0), weight_resolution=10, max_atoms=3)
+        measures = enumerate_grid_measures(grid, 1.0)
+        below = [m for m in measures if sum(m.weights) < p.critical_fractile]
+        assert below and all(oracle(p, m) == m.support[-1] for m in below)
+        assert_rows_match_oracle(p, below, np.asarray(grid.locations))
 
 
 class TestOracleBruteForce:

@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import _from_canonical, make_finite_measure, mix
+from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure, mix
 from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
@@ -20,13 +20,13 @@ from heterodro.metrics import (
     wasserstein1,
     weights_on,
 )
-from heterodro.policies import PolicySpec, apply_policy, policy_action, recommended_parameter
+from heterodro.policies import PolicySpec, apply_policy, recommended_parameter
 from heterodro import regret
 from heterodro.problems import (
     ProblemKind,
     ProblemSpec,
+    _row_measure,
     expected_objective,
-    objective,
     opt_value,
     oracle,
 )
@@ -43,17 +43,17 @@ from heterodro.regret import (
     analytic_bounds,
     bounds_for_policy,
     dro_regret_scan,
-    enumerate_grid_measures,
     evaluate_pair,
     exact_regret,
     exhaustive_regret_n2,
     fixed_action_minimax,
+    grid_weight_rows,
     hetero_helps_homogeneous_max,
     monte_carlo_regret,
     ski_indifference_measure,
 )
 
-from conftest import cdf, mean
+from conftest import cdf, enumerate_grid_measures, mean, reference_dro_regret_scan
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
@@ -514,48 +514,6 @@ class TestFixedActionMinimax:
         assert value == pytest.approx(0.05, abs=1e-12)
 
 
-def reference_dro_regret_scan(p, pol, kind, eps, grid):
-    """The scan's pair loop with 3-D blocks: 128 mu rows x n x L terms from
-    ``distance_terms``, reduced over the locations by ``max``/``np.sum``.
-    The reference for ``dro_regret_scan``; returns (estimate, (mu, nu) or
-    None)."""
-    n = grid.measure_count
-    measures = enumerate_grid_measures(grid, p.M)
-
-    locs = np.asarray(grid.locations)
-    W = weights_on(measures, locs)
-    gaps = np.append(locs[1:], p.M) - locs
-
-    oracle_actions = [oracle(p, m) for m in measures]
-    actions = [policy_action(pol, p, a) for a in oracle_actions]
-    distinct = sorted(set(actions) | set(oracle_actions))
-    col = {a: j for j, a in enumerate(distinct)}
-    a_idx = np.asarray([col[a] for a in actions])
-    GA = W @ objective(p, np.asarray(distinct)[:, None], locs).T
-    opts = GA[np.arange(n), [col[a] for a in oracle_actions]]
-
-    reduce_terms = {
-        DistanceKind.KOLMOGOROV: lambda terms: terms.max(axis=2),
-        DistanceKind.TOTAL_VARIATION: lambda terms: 0.5 * terms.sum(axis=2),
-        DistanceKind.WASSERSTEIN: lambda terms: terms.sum(axis=2),
-    }[kind]
-    best = 0.0
-    best_pair = None
-    for start in range(0, n, 128):
-        stop = min(start + 128, n)
-        D = reduce_terms(distance_terms(kind, W[start:stop, None, :], W[None, :, :], gaps))
-        R = np.abs(opts[start:stop, None] - GA[start:stop][:, a_idx])
-        R[D > eps + BALL_SLACK] = -1.0
-        j = np.unravel_index(np.argmax(R), R.shape)
-        if R[j] > best:
-            best = float(R[j])
-            best_pair = (start + int(j[0]), int(j[1]))
-    if best_pair is None:
-        return best, None
-    i, j = best_pair
-    return best, (measures[i], measures[j])
-
-
 SCAN_CELLS = [
     (ProblemSpec.newsvendor(1, 2, 1), SAA),
     (ProblemSpec.newsvendor(1, 2, 1), PolicySpec.delta_saa(0.1)),
@@ -604,6 +562,29 @@ def scan_cases(draw, locations, resolution):
                 eps = float(np.nextafter(eps, math.inf if eps + BALL_SLACK < d else -math.inf))
     entries = draw(st.sampled_from([1, 5, 64, 1 << 17]))
     return problem, pol, kind, grid, eps, entries
+
+
+@st.composite
+def weight_row_grids(draw):
+    """A grid and its interval's upper end.  Locations are random or on a
+    1/8 lattice, sometimes include 0 and ``upper``, and up to two of them
+    get a partner closer than ``MERGE_TOL``, at it, or just past it."""
+    upper = draw(st.sampled_from([1.0, 0.75, 10.0]))
+    lattice = st.integers(0, 8).map(lambda k: k / 8)
+    fractions = draw(st.lists(st.floats(0.0, 1.0) | lattice, min_size=1, max_size=4))
+    locs = {f * upper for f in fractions}
+    for x in draw(st.lists(st.sampled_from(sorted(locs)), max_size=2)):
+        gap = draw(st.sampled_from([1e-13, 5e-13, MERGE_TOL, 2 * MERGE_TOL]))
+        locs.add(x + draw(st.sampled_from([gap, -gap])))
+    if draw(st.booleans()):
+        locs |= {0.0, upper}
+    grid = ScanGrid(
+        tuple(sorted({min(max(v, 0.0), upper) for v in locs})),
+        weight_resolution=draw(st.integers(1, 10)),
+        max_atoms=draw(st.integers(1, 4)),
+    )
+    assume(grid.measure_count <= 3000)
+    return grid, upper
 
 
 class TestScan:
@@ -659,11 +640,35 @@ class TestScan:
             grid = ScanGrid(*shape)
             assert grid.measure_count == len(enumerate_grid_measures(grid, 1.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=weight_row_grids())
+    def test_weight_rows_match_enumeration(self, case):
+        # Row i is weights_on of the reference's measure i, float for float,
+        # and the scan rebuilds that measure from it.
+        grid, upper = case
+        measures = enumerate_grid_measures(grid, upper)
+        locs = np.asarray(grid.locations)
+        W = grid_weight_rows(grid, upper)
+        ref = weights_on(measures, locs)
+        assert W.shape == ref.shape
+        assert [v.hex() for v in W.ravel().tolist()] == [v.hex() for v in ref.ravel().tolist()]
+        assert [_row_measure(row, locs, upper) for row in W] == measures
+
+    def test_weight_rows_merge_close_locations(self):
+        # The default pricing/W1 grid at eps = 1e-26: its first three
+        # locations lie within MERGE_TOL of each other.
+        grid = ScanGrid((0.4999999999999, 0.49999999999995, 0.5, 1.0), 20, 2)
+        W = grid_weight_rows(grid, 1.0)
+        # 4 point masses, and the 19 compositions of each of the 3 close pairs
+        assert (np.count_nonzero(W, axis=1) == 1).sum() == 4 + 3 * 19
+        ref = weights_on(enumerate_grid_measures(grid, 1.0), np.asarray(grid.locations))
+        assert np.array_equal(W, ref)
+
     def test_grid_too_large_checked_before_enumerating(self, monkeypatch):
         def fail(*args):
             raise AssertionError("enumerated an oversized grid")
 
-        monkeypatch.setattr(regret, "enumerate_grid_measures", fail)
+        monkeypatch.setattr(regret, "grid_weight_rows", fail)
         grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), weight_resolution=20, max_atoms=4)
         n = 18_246
         assert grid.measure_count == n
