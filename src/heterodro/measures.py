@@ -15,9 +15,10 @@ measures are equal iff their fields compare equal bitwise.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Sequence
 
 # Atoms closer than this are considered the same point; absorbs float noise
@@ -26,6 +27,8 @@ MERGE_TOL = 1e-12
 # Accepted deviation of sum(weights) from 1 on *input*; after validation the
 # weights are renormalized exactly.
 WEIGHT_SUM_TOL = 1e-9
+# Every byte but the separators ':' and ',' of a measure text.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,")))
 
 
 class MeasureError(ValueError):
@@ -73,25 +76,43 @@ def _renormalized(weights: list[float]) -> list[float]:
     """Scale weights so that math.fsum(weights) == 1.0 exactly.
 
     After the division the correctly-rounded sum can still be off by a few
-    ulp; the residual is folded into the largest weight until the fsum is
-    exactly 1.0, which makes canonicalization idempotent bit-for-bit.
+    ulp; the residual is folded into the first largest weight until the fsum
+    is exactly 1.0, which makes canonicalization idempotent bit-for-bit.
     """
     total = math.fsum(weights)
-    if total != 1.0:
-        weights = [w / total for w in weights]
+    if total == 1.0:
+        return weights
+    weights = list(map(total.__rtruediv__, weights))
     for _ in range(5):
         resid = 1.0 - math.fsum(weights)
         if resid == 0.0:
             break
-        j = max(range(len(weights)), key=lambda i: weights[i])
-        weights[j] += resid
+        weights[weights.index(max(weights))] += resid
     return weights
+
+
+def _sorted_merged(pts: list[float], wts: list[float]) -> tuple[list[float], list[float]]:
+    """Nonzero-weight atoms, stably sorted; runs within MERGE_TOL of their first point merged."""
+    order = sorted(compress(range(len(pts)), wts), key=pts.__getitem__)
+    if not order:
+        raise WeightsNotNormalized("all weights are zero")
+    pts, wts = [pts[i] for i in order], [wts[i] for i in order]
+    if min(map(operator.sub, pts[1:], pts), default=1.0) > MERGE_TOL:
+        return pts, wts
+    merged: list[tuple[float, list[float]]] = []
+    for p, w in zip(pts, wts):
+        if merged and p - merged[-1][0] <= MERGE_TOL:
+            merged[-1][1].append(w)
+        else:
+            merged.append((p, [w]))
+    return [p for p, _ in merged], [math.fsum(ws) for _, ws in merged]
 
 
 def make_finite_measure(
     points: Sequence[float], weights: Sequence[float], upper: float
 ) -> FiniteMeasure:
-    """Build the canonical measure with the given atoms.
+    """Build the canonical measure with the given atoms (any sequences,
+    numpy arrays included).
 
     Raises NegativeWeight, WeightsNotNormalized (|sum - 1| > 1e-9), or
     PointOutOfRange.  Duplicate points (within ``MERGE_TOL``) are merged and
@@ -99,39 +120,32 @@ def make_finite_measure(
     """
     if not math.isfinite(upper) or upper <= 0.0:
         raise MeasureError(f"upper must be a finite positive real, got {upper}")
-    if len(points) != len(weights) or not points:
+    if len(points) != len(weights) or not len(points):
         raise MeasureError("points and weights must be nonempty and the same length")
-    for w in weights:
-        if not math.isfinite(w):
-            raise MeasureError(f"non-finite weight {w}")
-        if w < 0.0:
-            raise NegativeWeight(f"weight {w} is negative")
+    # Bulk checks; an input that fails one is walked to name its first
+    # offender.  A NaN that min or max skips fails isfinite.
+    if not (min(weights) >= 0.0 and all(map(math.isfinite, weights))):
+        for w in weights:
+            if not math.isfinite(w):
+                raise MeasureError(f"non-finite weight {w}")
+            if w < 0.0:
+                raise NegativeWeight(f"weight {w} is negative")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
-    for p in points:
-        if not math.isfinite(p):
-            raise MeasureError(f"non-finite point {p}")
-        if p < 0.0 or p > upper:
-            raise PointOutOfRange(f"point {p} outside [0, {upper}]")
+    if not (min(points) >= 0.0 and max(points) <= upper and all(map(math.isfinite, points))):
+        for p in points:
+            if not math.isfinite(p):
+                raise MeasureError(f"non-finite point {p}")
+            if p < 0.0 or p > upper:
+                raise PointOutOfRange(f"point {p} outside [0, {upper}]")
 
-    pairs = sorted(
-        ((float(p), float(w)) for p, w in zip(points, weights) if w != 0.0),
-        key=lambda pw: pw[0],
-    )
-    if not pairs:
-        raise WeightsNotNormalized("all weights are zero")
-
-    merged_pts: list[float] = []
-    merged_wts: list[list[float]] = []
-    for p, w in pairs:
-        if merged_pts and p - merged_pts[-1] <= MERGE_TOL:
-            merged_wts[-1].append(w)
-        else:
-            merged_pts.append(p)
-            merged_wts.append([w])
-    wts = _renormalized([math.fsum(ws) for ws in merged_wts])
-    return FiniteMeasure(tuple(merged_pts), tuple(wts), float(upper))
+    pts = list(map(float, points))
+    wts = list(map(float, weights))
+    # Already canonical when sorted, every step above MERGE_TOL, no zero weight.
+    if 0.0 in wts or min(map(operator.sub, pts[1:], pts), default=1.0) <= MERGE_TOL:
+        pts, wts = _sorted_merged(pts, wts)
+    return FiniteMeasure(tuple(pts), tuple(_renormalized(wts)), float(upper))
 
 
 def _from_canonical(
@@ -152,17 +166,6 @@ def quantile(m: FiniteMeasure, q: float) -> float:
     return m.support[min(i, len(m.support) - 1)]
 
 
-def mix(a: FiniteMeasure, b: FiniteMeasure, lam: float) -> FiniteMeasure:
-    """Convex combination lam*a + (1-lam)*b (same interval)."""
-    if a.upper != b.upper:
-        raise MeasureError("cannot mix measures on different intervals")
-    if not (0.0 <= lam <= 1.0):
-        raise MeasureError(f"mixture coefficient {lam} outside [0, 1]")
-    pts = list(a.support) + list(b.support)
-    wts = [lam * w for w in a.weights] + [(1.0 - lam) * w for w in b.weights]
-    return make_finite_measure(pts, wts, a.upper)
-
-
 def to_text(m: FiniteMeasure) -> str:
     """Serialize as ``p1:w1,p2:w2,...@upper`` (round-trip exact)."""
     body = ",".join(f"{p!r}:{w!r}" for p, w in zip(m.support, m.weights))
@@ -173,11 +176,13 @@ def from_text(text: str) -> FiniteMeasure:
     """Parse the ``p1:w1,...@upper`` form produced by :func:`to_text`."""
     try:
         body, upper_s = text.rsplit("@", 1)
-        pts, wts = [], []
-        for atom in body.split(","):
-            p_s, w_s = atom.split(":")
-            pts.append(float(p_s))
-            wts.append(float(w_s))
+        # Every atom must be one ``p:w``: the separators alternate.
+        seps = body.encode().translate(None, _NOT_SEPARATOR)
+        if seps != b":," * seps.count(b",") + b":":
+            raise ValueError("atoms are not p:w pairs")
+        parts = body.replace(",", ":").split(":")
+        pts = list(map(float, parts[0::2]))
+        wts = list(map(float, parts[1::2]))
         upper = float(upper_s)
     except (ValueError, IndexError) as exc:
         raise MeasureError(f"cannot parse measure text {text!r}") from exc

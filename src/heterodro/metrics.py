@@ -5,17 +5,17 @@ from the atom representation; no sampling noise enters ball-membership
 checks or bound sandwiches.  Atom positions are compared exactly: canonical
 measures produced by the same arithmetic share bit-identical coordinates.
 
-One kernel serves every caller.  :func:`weights_on` writes measures as
-weight rows over shared sorted locations; :func:`distance_terms` turns two
-rows into per-location terms: |F_a - F_b| (CDFs by ``np.cumsum``, constant
-up to the next location) for K, |w_a - w_b| for TV, and |F_a - F_b| times
-the gap to the next location (or ``upper``) for W1.  K is their max, TV
-half their sum, W1 their sum.  The scalar distances sum with ``math.fsum``,
-correctly rounded whatever the order.  The DRO scan takes the same terms
-one location at a time (:func:`location_columns`, :func:`distance_block`)
-and keeps a running max or a running sum in location order, fast but
-possibly off from ``fsum`` in the last bits, so its witness is re-checked
-with the scalar :func:`in_ball`.
+One kernel serves every caller.  Measures are weight rows over shared
+sorted locations (:func:`weights_on`; one ``np.unique`` for a pair), and
+:func:`distance_terms` turns two rows into per-location terms: |F_a - F_b|
+(CDFs by ``np.cumsum``, constant up to the next location) for K,
+|w_a - w_b| for TV, and |F_a - F_b| times the gap to the next location (or
+``upper``) for W1.  K is their max, TV half their sum, W1 their sum.  The
+scalar distances sum with ``math.fsum``, correctly rounded whatever the
+order.  The DRO scan takes the same terms one location at a time
+(:func:`location_columns`, :func:`distance_block`) and keeps a running max
+or a running sum in location order, fast but possibly off from ``fsum`` in
+the last bits, so its witness is re-checked with the scalar :func:`in_ball`.
 """
 
 from __future__ import annotations
@@ -47,22 +47,14 @@ class DistanceKind(enum.Enum):
     @classmethod
     def from_text(cls, text: str) -> "DistanceKind":
         key = text.strip().lower().replace("-", "_")
-        aliases = {
-            "kolmogorov": cls.KOLMOGOROV,
-            "k": cls.KOLMOGOROV,
-            "total_variation": cls.TOTAL_VARIATION,
-            "tv": cls.TOTAL_VARIATION,
-            "wasserstein": cls.WASSERSTEIN,
-            "w": cls.WASSERSTEIN,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown distance kind {text!r}")
-        return aliases[key]
+        aliases = {"k": "kolmogorov", "tv": "total_variation", "w": "wasserstein"}
+        try:
+            return cls(aliases.get(key, key))
+        except ValueError:
+            raise ValueError(f"unknown distance kind {text!r}") from None
 
     def short(self) -> str:
-        return {"kolmogorov": "kolmogorov", "total_variation": "tv", "wasserstein": "wasserstein"}[
-            self.value
-        ]
+        return "tv" if self is DistanceKind.TOTAL_VARIATION else self.value
 
 
 def _check_same_interval(a: FiniteMeasure, b: FiniteMeasure) -> None:
@@ -127,9 +119,13 @@ def distance_block(
 
 def _pair_terms(kind: DistanceKind, a: FiniteMeasure, b: FiniteMeasure) -> np.ndarray:
     _check_same_interval(a, b)
-    locs = np.unique(np.array(a.support + b.support))
-    wa, wb = weights_on((a, b), locs)
-    return distance_terms(kind, wa, wb, np.append(locs[1:], a.upper) - locs)
+    # the rows and locations weights_on would give, from one unique
+    locs, col = np.unique(np.array(a.support + b.support), return_inverse=True)
+    n = len(a.support)
+    W = np.zeros((2, len(locs)))
+    W[0, col[:n]] = a.weights
+    W[1, col[n:]] = b.weights
+    return distance_terms(kind, W[0], W[1], np.append(locs[1:], a.upper) - locs)
 
 
 def kolmogorov(a: FiniteMeasure, b: FiniteMeasure) -> float:

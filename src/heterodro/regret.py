@@ -29,7 +29,6 @@ from .problems import (
     expected_objective_grid,
     objective,
     opt_value,
-    oracle,
     oracle_rows,
 )
 
@@ -658,6 +657,18 @@ class ScanGrid:
         )
 
 
+@functools.cache
+def _compositions(a: int, res: int) -> tuple[tuple[tuple[float, ...], ...], np.ndarray]:
+    """The compositions of res into a positive parts: raw and canonical weights."""
+    raw = tuple(
+        tuple((hi - lo) / res for lo, hi in itertools.pairwise((0, *cuts, res)))
+        for cuts in itertools.combinations(range(1, res), a - 1)
+    )
+    comps = np.array([_renormalized(list(w)) for w in raw])
+    comps.flags.writeable = False
+    return raw, comps
+
+
 def grid_weight_rows(grid: ScanGrid, upper: float) -> np.ndarray:
     """The grid's measures on [0, upper] as weight rows over its locations,
     ordered by atom count, then location subset, then composition.
@@ -678,11 +689,7 @@ def grid_weight_rows(grid: ScanGrid, upper: float) -> np.ndarray:
     start = 0
     # A positive composition of res has at most res parts.
     for a in range(1, min(grid.max_atoms, len(locs), res) + 1):
-        raw = [
-            [(hi - lo) / res for lo, hi in itertools.pairwise((0, *cuts, res))]
-            for cuts in itertools.combinations(range(1, res), a - 1)
-        ]
-        comps = np.array([_renormalized(list(w)) for w in raw])
+        raw, comps = _compositions(a, res)
         subsets = np.array(list(itertools.combinations(range(len(locs)), a)))
         rows = start + np.arange(len(subsets) * len(raw)).reshape(len(subsets), len(raw))
         W[rows[:, :, None], subsets[:, None, :]] = comps

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from heterodro import cli
 from heterodro.cli import (
     CSV_HEADER,
     ConfigInvalid,
@@ -32,7 +34,7 @@ from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro.problems import ProblemSpec
 from heterodro.regret import RegretReport, dro_regret_scan
 
-from conftest import reference_dro_regret_scan
+from conftest import reference_dro_regret_scan, reference_from_text
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 
@@ -631,6 +633,38 @@ class TestCachedParser:
         assert [code for code, _, _ in got] == [2, 0, 2, 0]
         assert got[0][1] != got[1][1]
         assert build_parser() is build_parser()
+
+
+class TestThousandAtomTexts:
+    """distance, oracle and regret on 1000-atom texts print the bytes they
+    print with the reference parser in place of ``from_text``."""
+
+    @staticmethod
+    def text(rng, upper, sort):
+        pts = np.round(rng.uniform(0.0, upper, 1000), 9)
+        pts[rng.random(1000) < 0.05] = pts[0]  # duplicates to merge
+        if sort:
+            pts.sort()
+        wts = rng.dirichlet(np.ones(1000))
+        return ",".join(f"{p!r}:{w!r}" for p, w in zip(pts.tolist(), wts.tolist())) + f"@{upper!r}"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_parser(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        a, b = self.text(rng, 10.0, True), self.text(rng, 10.0, False)
+        runs = [["distance", "--kind", kind, "--a", a, "--b", b] for kind in ("k", "tv", "w")]
+        runs += [
+            ["oracle", "--problem", "newsvendor:1.5,1,10", "--measure", b],
+            ["oracle", "--problem", "pricing:10", "--measure", a],
+            ["regret", "--problem", "pricing:10", "--policy", "saa", "--mu", a, "--nu", b,
+             "--kind", "w", "--eps", "0.5"],
+            ["regret", "--problem", "newsvendor:1,2,10", "--policy", "dsaa:0.1", "--mu", b,
+             "--nu", a, "--kind", "k", "--eps", "0.05"],
+        ]
+        got = [run_captured(argv) for argv in runs]
+        assert all(code == 0 and out for code, out, _ in got)
+        monkeypatch.setattr(cli, "from_text", reference_from_text)
+        assert got == [run_captured(argv) for argv in runs]
 
 
 def parses(parse, text):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import FiniteMeasure, make_finite_measure, mix
+from heterodro.measures import FiniteMeasure, make_finite_measure
 from heterodro.metrics import (
     DistanceKind,
     MismatchedInterval,
+    _pair_terms,
     distance,
     distance_block,
     distance_terms,
@@ -20,7 +21,7 @@ from heterodro.metrics import (
     weights_on,
 )
 
-from conftest import empirical_from, random_measure
+from conftest import empirical_from, mix, random_measure, reference_pair_terms
 
 ALL_KINDS = list(DistanceKind)
 
@@ -191,6 +192,24 @@ class TestKernelMatchesReference:
             assert got.tobytes() == expected.tobytes()
         else:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(measure_pairs(), st.sampled_from(ALL_KINDS))
+    def test_pair_terms_match_reference(self, pair, kind):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            got, ref = _pair_terms(kind, x, y), reference_pair_terms(kind, x, y)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_pair_terms_signed_zero(self):
+        a = make_finite_measure([-0.0, 0.5], [0.5, 0.5], 1.0)
+        b = make_finite_measure([0.0, 0.7], [0.25, 0.75], 1.0)
+        assert a.support[0].hex() == "-0x0.0p+0"
+        for kind in ALL_KINDS:
+            for x, y in ((a, b), (b, a)):
+                got, ref = _pair_terms(kind, x, y), reference_pair_terms(kind, x, y)
+                assert got.tobytes() == ref.tobytes()
 
     def test_atom_off_locations_raises(self):
         m = make_finite_measure([0.2, 0.7], [0.5, 0.5], 1.0)

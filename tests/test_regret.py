@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure, mix
+from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure
 from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
@@ -53,7 +53,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import cdf, enumerate_grid_measures, mean, reference_dro_regret_scan
+from conftest import cdf, enumerate_grid_measures, mean, mix, reference_dro_regret_scan
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
@@ -653,6 +653,16 @@ class TestScan:
         assert W.shape == ref.shape
         assert [v.hex() for v in W.ravel().tolist()] == [v.hex() for v in ref.ravel().tolist()]
         assert [_row_measure(row, locs, upper) for row in W] == measures
+
+    def test_compositions_computed_once_and_read_only(self):
+        grid = ScanGrid((0.0, 0.3, 0.7, 1.0), weight_resolution=7, max_atoms=3)
+        first = grid_weight_rows(grid, 1.0)
+        raw, comps = regret._compositions(3, 7)
+        assert regret._compositions(3, 7)[1] is comps
+        assert len(raw) == len(comps) == 15
+        with pytest.raises(ValueError):
+            comps[0, 0] = 0.0
+        assert grid_weight_rows(grid, 1.0).tobytes() == first.tobytes()
 
     def test_weight_rows_merge_close_locations(self):
         # The default pricing/W1 grid at eps = 1e-26: its first three
