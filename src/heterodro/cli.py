@@ -279,14 +279,22 @@ def make_row(
     else:
         p1, p2 = None, None
     r = report
-    stats = (r.n, r.trials, r.seed, r.estimate, r.ci_half_width, r.analytic_lower,
-             r.analytic_upper) if r else (None,) * 7
     return [
         mode,
         problem.kind.value,
         kind.short() if kind is not None else "",
         policy_text,
-        *map(_fmt, (eps, problem.M, p1, p2, *stats)),
+        _fmt(eps),
+        _fmt(problem.M),
+        _fmt(p1),
+        _fmt(p2),
+        _fmt(r.n) if r else "",
+        _fmt(r.trials) if r else "",
+        _fmt(r.seed) if r else "",
+        _fmt(r.estimate) if r else "",
+        _fmt(r.ci_half_width) if r else "",
+        _fmt(r.analytic_lower) if r else "",
+        _fmt(r.analytic_upper) if r else "",
         _witness_text(r.witness) if r else "",
         slope_note,
     ]

@@ -15,10 +15,10 @@ measures are equal iff their fields compare equal bitwise.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Sequence
 
 # Atoms closer than this are considered the same point; absorbs float noise
@@ -29,6 +29,8 @@ MERGE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 # Every byte but the separators ':' and ',' of a measure text.
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,")))
+# Sort key of a (point, weight) pair.
+_point = itemgetter(0)
 
 
 class MeasureError(ValueError):
@@ -82,30 +84,13 @@ def _renormalized(weights: list[float]) -> list[float]:
     total = math.fsum(weights)
     if total == 1.0:
         return weights
-    weights = list(map(total.__rtruediv__, weights))
+    weights = [w / total for w in weights]
     for _ in range(5):
         resid = 1.0 - math.fsum(weights)
         if resid == 0.0:
             break
         weights[weights.index(max(weights))] += resid
     return weights
-
-
-def _sorted_merged(pts: list[float], wts: list[float]) -> tuple[list[float], list[float]]:
-    """Nonzero-weight atoms, stably sorted; runs within MERGE_TOL of their first point merged."""
-    order = sorted(compress(range(len(pts)), wts), key=pts.__getitem__)
-    if not order:
-        raise WeightsNotNormalized("all weights are zero")
-    pts, wts = [pts[i] for i in order], [wts[i] for i in order]
-    if min(map(operator.sub, pts[1:], pts), default=1.0) > MERGE_TOL:
-        return pts, wts
-    merged: list[tuple[float, list[float]]] = []
-    for p, w in zip(pts, wts):
-        if merged and p - merged[-1][0] <= MERGE_TOL:
-            merged[-1][1].append(w)
-        else:
-            merged.append((p, [w]))
-    return [p for p, _ in merged], [math.fsum(ws) for _, ws in merged]
 
 
 def make_finite_measure(
@@ -122,30 +107,49 @@ def make_finite_measure(
         raise MeasureError(f"upper must be a finite positive real, got {upper}")
     if len(points) != len(weights) or not len(points):
         raise MeasureError("points and weights must be nonempty and the same length")
-    # Bulk checks; an input that fails one is walked to name its first
-    # offender.  A NaN that min or max skips fails isfinite.
-    if not (min(weights) >= 0.0 and all(map(math.isfinite, weights))):
-        for w in weights:
-            if not math.isfinite(w):
-                raise MeasureError(f"non-finite weight {w}")
-            if w < 0.0:
-                raise NegativeWeight(f"weight {w} is negative")
+    for w in weights:
+        if not math.isfinite(w):
+            raise MeasureError(f"non-finite weight {w}")
+        if w < 0.0:
+            raise NegativeWeight(f"weight {w} is negative")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
-    if not (min(points) >= 0.0 and max(points) <= upper and all(map(math.isfinite, points))):
-        for p in points:
-            if not math.isfinite(p):
-                raise MeasureError(f"non-finite point {p}")
-            if p < 0.0 or p > upper:
-                raise PointOutOfRange(f"point {p} outside [0, {upper}]")
+    # apart: every point lies more than MERGE_TOL above the one before it.
+    apart, prev = True, -math.inf
+    for p in points:
+        if not math.isfinite(p):
+            raise MeasureError(f"non-finite point {p}")
+        if p < 0.0 or p > upper:
+            raise PointOutOfRange(f"point {p} outside [0, {upper}]")
+        q = float(p)
+        if q - prev <= MERGE_TOL:
+            apart = False
+        prev = q
 
-    pts = list(map(float, points))
-    wts = list(map(float, weights))
-    # Already canonical when sorted, every step above MERGE_TOL, no zero weight.
-    if 0.0 in wts or min(map(operator.sub, pts[1:], pts), default=1.0) <= MERGE_TOL:
-        pts, wts = _sorted_merged(pts, wts)
-    return FiniteMeasure(tuple(pts), tuple(_renormalized(wts)), float(upper))
+    if apart and 0.0 not in weights:  # already canonical: no sort, no merge
+        wts = _renormalized(list(map(float, weights)))
+        return FiniteMeasure(tuple(map(float, points)), tuple(wts), float(upper))
+    pairs = sorted(compress(zip(map(float, points), map(float, weights)), weights), key=_point)
+    if not pairs:
+        raise WeightsNotNormalized("all weights are zero")
+    # A cluster is anchored at its first point; fsum([w]) == w, so only a
+    # cluster with a run of merged weights is summed.
+    merged_pts: list[float] = []
+    merged_wts: list[float] = []
+    run: list[float] = []
+    for p, w in pairs:
+        if merged_pts and p - merged_pts[-1] <= MERGE_TOL:
+            run.append(w)
+            continue
+        if run:
+            merged_wts[-1] = math.fsum([merged_wts[-1], *run])
+            run = []
+        merged_pts.append(p)
+        merged_wts.append(w)
+    if run:
+        merged_wts[-1] = math.fsum([merged_wts[-1], *run])
+    return FiniteMeasure(tuple(merged_pts), tuple(_renormalized(merged_wts)), float(upper))
 
 
 def _from_canonical(
@@ -164,6 +168,17 @@ def quantile(m: FiniteMeasure, q: float) -> float:
     cw = list(accumulate(m.weights))
     i = bisect_left(cw, q)
     return m.support[min(i, len(m.support) - 1)]
+
+
+def mix(a: FiniteMeasure, b: FiniteMeasure, lam: float) -> FiniteMeasure:
+    """Convex combination lam*a + (1-lam)*b (same interval)."""
+    if a.upper != b.upper:
+        raise MeasureError("cannot mix measures on different intervals")
+    if not (0.0 <= lam <= 1.0):
+        raise MeasureError(f"mixture coefficient {lam} outside [0, 1]")
+    pts = list(a.support) + list(b.support)
+    wts = [lam * w for w in a.weights] + [(1.0 - lam) * w for w in b.weights]
+    return make_finite_measure(pts, wts, a.upper)
 
 
 def to_text(m: FiniteMeasure) -> str:

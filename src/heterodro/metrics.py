@@ -47,14 +47,22 @@ class DistanceKind(enum.Enum):
     @classmethod
     def from_text(cls, text: str) -> "DistanceKind":
         key = text.strip().lower().replace("-", "_")
-        aliases = {"k": "kolmogorov", "tv": "total_variation", "w": "wasserstein"}
-        try:
-            return cls(aliases.get(key, key))
-        except ValueError:
-            raise ValueError(f"unknown distance kind {text!r}") from None
+        aliases = {
+            "kolmogorov": cls.KOLMOGOROV,
+            "k": cls.KOLMOGOROV,
+            "total_variation": cls.TOTAL_VARIATION,
+            "tv": cls.TOTAL_VARIATION,
+            "wasserstein": cls.WASSERSTEIN,
+            "w": cls.WASSERSTEIN,
+        }
+        if key not in aliases:
+            raise ValueError(f"unknown distance kind {text!r}")
+        return aliases[key]
 
     def short(self) -> str:
-        return "tv" if self is DistanceKind.TOTAL_VARIATION else self.value
+        return {"kolmogorov": "kolmogorov", "total_variation": "tv", "wasserstein": "wasserstein"}[
+            self.value
+        ]
 
 
 def _check_same_interval(a: FiniteMeasure, b: FiniteMeasure) -> None:

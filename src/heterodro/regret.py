@@ -29,6 +29,7 @@ from .problems import (
     expected_objective_grid,
     objective,
     opt_value,
+    oracle,
     oracle_rows,
 )
 

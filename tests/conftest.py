@@ -67,17 +67,6 @@ def sample(m, seed, n):
     return [m.support[i] for i in idx]
 
 
-def mix(a, b, lam):
-    """Convex combination lam*a + (1-lam)*b (same interval)."""
-    if a.upper != b.upper:
-        raise MeasureError("cannot mix measures on different intervals")
-    if not (0.0 <= lam <= 1.0):
-        raise MeasureError(f"mixture coefficient {lam} outside [0, 1]")
-    pts = list(a.support) + list(b.support)
-    wts = [lam * w for w in a.weights] + [(1.0 - lam) * w for w in b.weights]
-    return make_finite_measure(pts, wts, a.upper)
-
-
 def empirical_from(samples, upper):
     """Empirical measure: one atom per distinct value with weight count/n."""
     xs = list(samples)

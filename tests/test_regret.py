@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure
+from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure, mix
 from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
@@ -53,7 +53,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import cdf, enumerate_grid_measures, mean, mix, reference_dro_regret_scan
+from conftest import cdf, enumerate_grid_measures, mean, reference_dro_regret_scan
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
