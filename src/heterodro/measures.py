@@ -74,14 +74,16 @@ class FiniteMeasure:
         return to_text(self)
 
 
-def _renormalized(weights: list[float]) -> list[float]:
-    """Scale weights so that math.fsum(weights) == 1.0 exactly.
+def _renormalized(weights: list[float], total: float | None = None) -> list[float]:
+    """Scale weights so that math.fsum(weights) == 1.0 exactly; ``total``
+    is their fsum when the caller has it already.
 
     After the division the correctly-rounded sum can still be off by a few
     ulp; the residual is folded into the first largest weight until the fsum
     is exactly 1.0, which makes canonicalization idempotent bit-for-bit.
     """
-    total = math.fsum(weights)
+    if total is None:
+        total = math.fsum(weights)
     if total == 1.0:
         return weights
     weights = [w / total for w in weights]
@@ -128,7 +130,7 @@ def make_finite_measure(
         prev = q
 
     if apart and 0.0 not in weights:  # already canonical: no sort, no merge
-        wts = _renormalized(list(map(float, weights)))
+        wts = _renormalized(list(map(float, weights)), total)
         return FiniteMeasure(tuple(map(float, points)), tuple(wts), float(upper))
     pairs = sorted(compress(zip(map(float, points), map(float, weights)), weights), key=_point)
     if not pairs:

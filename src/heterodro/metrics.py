@@ -13,9 +13,10 @@ sorted locations (:func:`weights_on`; one ``np.unique`` for a pair), and
 ``upper``) for W1.  K is their max, TV half their sum, W1 their sum.  The
 scalar distances sum with ``math.fsum``, correctly rounded whatever the
 order.  The DRO scan takes the same terms one location at a time
-(:func:`location_columns`, :func:`distance_block`) and keeps a running max
-or a running sum in location order, fast but possibly off from ``fsum`` in
-the last bits, so its witness is re-checked with the scalar :func:`in_ball`.
+(:func:`location_columns`, :func:`distance_block`) on blocks of (mu, nu)
+pairs and keeps a running max or a running sum in location order, fast but
+possibly off from ``fsum`` in the last bits, so its witness is re-checked
+with the scalar :func:`in_ball`.
 """
 
 from __future__ import annotations
@@ -103,15 +104,17 @@ def location_columns(kind: DistanceKind, W: np.ndarray) -> np.ndarray:
 
 
 def distance_block(
-    kind: DistanceKind, cols: np.ndarray, rows: np.ndarray, gaps: np.ndarray
+    kind: DistanceKind, a: np.ndarray, b: np.ndarray, gaps: np.ndarray
 ) -> np.ndarray:
-    """D[r, j] = d(measure rows[r], measure j) from :func:`location_columns`,
-    the terms of :func:`distance_terms` taken one location at a time on
-    (rows x n) arrays; TV and W1 add them left to right, which is
-    ``np.sum``'s order below 8 locations."""
+    """D[r, j] = d(measure r of ``a``, measure j of ``b``), where ``a`` and
+    ``b`` are :func:`location_columns` (or column subsets and slices of
+    them): the terms of :func:`distance_terms` taken one location at a time
+    on (r x j) arrays.  TV and W1 add them left to right, which is
+    ``np.sum``'s order below 8 locations.  Each entry is the same arithmetic
+    on its own pair, whichever other columns the block holds."""
     D = t = None
-    for gap, c in zip(gaps, cols):
-        t = np.abs(np.subtract(c[rows, None], c, out=t), out=t)
+    for gap, ca, cb in zip(gaps, a, b):
+        t = np.abs(np.subtract(ca[:, None], cb, out=t), out=t)
         if kind is DistanceKind.WASSERSTEIN:
             t *= gap
         if D is None:

@@ -34,9 +34,14 @@ from .problems import (
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# dro_regret_scan takes the mu measures in blocks of rows whose (rows x n)
-# distance and regret arrays hold about this many floats each.
+# dro_regret_scan scores blocks of at most _SCAN_ROWS sorted mu rows against
+# the union of their ball windows, with rows x window at most _SCAN_ENTRIES
+# floats per array.  A block's union is its rows' windows plus about one
+# column per row, so n / rows blocks cost n * (window + rows) entries (about
+# 13 ns each at 5 locations) plus about 25 us of calls each: rows near
+# sqrt(25 us / 13 ns) balance the two (timeit, shared 2-CPU host).
 _SCAN_ENTRIES = 1 << 17
+_SCAN_ROWS = 64
 # monte_carlo_regret counts a history's draws by one compare per atom
 # boundary (about 1.5 us + 0.2 ns per column) while it has this many columns
 # per atom, else by bincount(searchsorted) (10-40 ns per column): the
@@ -196,38 +201,52 @@ def monte_carlo_regret(
     ids = np.fromiter(map(id, nus), np.uintp, n)
     order = np.argsort(ids, kind="stable")
     bounds = (np.flatnonzero(np.diff(ids[order])) + 1).tolist()
-    starts, ends = [0, *bounds], [*bounds, n]
+    starts = [0, *bounds]
     firsts = order[starts].tolist()  # each object's first column
-    runs_of: dict[tuple, list[np.ndarray]] = {}
+    group_at: dict[tuple, int] = {}  # content -> group, in first-column order
+    object_group = [0] * len(starts)
     for j in sorted(range(len(starts)), key=firsts.__getitem__):
         nu = nus[firsts[j]]
         if nu.upper != mu.upper:
             raise ValueError(
                 f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]"
             )
-        runs_of.setdefault((nu.support, nu.weights), []).append(order[starts[j]:ends[j]])
-    if len(runs_of) == 1:
-        columns = [slice(None)]  # u[:] is a view: no gather
-    else:
-        columns = [np.concatenate(runs) for runs in runs_of.values()]
-    union = sorted({pt for sup, _ in runs_of for pt in sup})
+        object_group[j] = group_at.setdefault((nu.support, nu.weights), len(group_at))
+    # the group of column order[i]
+    ordered_group = np.repeat(object_group, np.diff([*starts, n]))
+    union = sorted({pt for sup, _ in group_at for pt in sup})
     union_arr = np.asarray(union)
-    index_of = {pt: i for i, pt in enumerate(union)}
-    plans = [
-        (np.cumsum(wts)[:-1], np.asarray([index_of[pt] for pt in sup]), cols)
-        for (sup, wts), cols in zip(runs_of, columns)
-    ]
-    width = max(len(idx_map) for _, idx_map, _ in plans)
-    table = width * n < _ENTRIES_PER_GROUP * len(plans)
+    # Row g of the padded tables: group g's cumulative weights and union
+    # indices.  cumsum adds along each row in order, so a row's leading
+    # entries are the group's own np.cumsum, bit for bit.
+    sizes = np.array([len(sup) for sup, _ in group_at])
+    width = int(sizes.max())
+    held = np.arange(width) < sizes[:, None]
+    cum = np.zeros(held.shape)
+    cum[held] = list(itertools.chain.from_iterable(wts for _, wts in group_at))
+    cum = np.cumsum(cum, axis=1)
+    union_idx = np.zeros(held.shape, np.intp)
+    union_idx[held] = np.searchsorted(
+        union_arr, list(itertools.chain.from_iterable(sup for sup, _ in group_at))
+    )
+    table = width * n < _ENTRIES_PER_GROUP * len(group_at)
     if table:
-        edge_rows = np.full((width - 1, len(plans)), np.inf)  # one row per boundary
-        union_rows = np.zeros(len(plans) * width, np.intp)  # row g at g * width
+        # one row per boundary; row g of the union table at g * width
+        edge_rows = np.ascontiguousarray(np.where(held[:, 1:], cum[:, :-1], np.inf).T)
+        union_rows = union_idx.ravel()
         group_of = np.empty(n, np.intp)
-        for g, (edges, idx_map, cols) in enumerate(plans):
-            edge_rows[: len(edges), g] = edges
-            union_rows[g * width : g * width + len(idx_map)] = idx_map
-            group_of[cols] = g
+        group_of[order] = ordered_group
         drawn = np.empty(n, np.intp)
+    else:
+        if len(group_at) == 1:
+            columns = [slice(None)]  # u[:] is a view: no gather
+        else:
+            by_group = order[np.argsort(ordered_group, kind="stable")]
+            columns = np.split(by_group, np.cumsum(np.bincount(ordered_group))[:-1])
+        plans = [
+            (edges[: k - 1], idx_map[:k], cols)
+            for k, edges, idx_map, cols in zip(sizes.tolist(), cum, union_idx, columns)
+        ]
 
     regrets = np.empty(trials)
     for t in range(trials):
@@ -621,7 +640,9 @@ def evaluate_pair(pair: AdversarialPair, pol: PolicySpec | None = None) -> float
 # policy is applied once per distinct oracle action.  A FiniteMeasure is
 # built from its row only for a pair that in_ball certifies and for the
 # witness.  The pair loop (metrics.location_columns, metrics.distance_block)
-# is what is left of the O(n^2 L) cost.
+# scores each measure only against the window of the sorted grid that can
+# hold its ball (_ball_windows): O(n * (window + _SCAN_ROWS) * L), and
+# O(n^2 L) only when every window spans the grid.
 
 
 @dataclass(frozen=True)
@@ -701,6 +722,50 @@ def grid_weight_rows(grid: ScanGrid, upper: float) -> np.ndarray:
     return W
 
 
+def _ball_windows(
+    kind: DistanceKind, cols: np.ndarray, gaps: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sort order of the grid's measures and, at each sorted position p,
+    the window [lo[p], hi[p]) of sorted positions that holds every measure
+    whose :func:`distance_block` distance to measure order[p] is at most
+    eps + BALL_SLACK.
+
+    Each location's term alone bounds that distance, since float sums of
+    non-negative terms never shrink: |dF| <= D for K, |dw| / 2 <= D for TV,
+    gap * |dF| <= D for W1 (each as rounded).  So sorting on one location's
+    column puts the ball's measures in one contiguous window; the location
+    with the smallest total window is taken (with none, the grid's own order
+    and full windows).  The radius is widened by 2^-48 (more than the two
+    roundings of |dF| and gap * |dF|), and rounding ``x -+ radius`` to the
+    sorted values keeps every in-ball value inside.  A location whose radius
+    is 1 or more narrows next to nothing (CDFs and weights lie in [0, 1])
+    and is skipped, W1 locations with a gap <= eps + BALL_SLACK (the one at
+    ``upper`` included) among them.
+    """
+    n = cols.shape[1]
+    e = eps + BALL_SLACK
+    best = n * n, None, np.zeros(n, np.intp), np.full(n, n)
+    for loc, gap in enumerate(gaps.tolist()):
+        if kind is DistanceKind.WASSERSTEIN:
+            if gap <= e:
+                continue
+            radius = e / gap
+        else:
+            radius = 2.0 * e if kind is DistanceKind.TOTAL_VARIATION else e
+        radius *= 1.0 + 2.0**-48
+        if radius >= 1.0:
+            continue
+        s = np.sort(cols[loc])
+        lo = np.searchsorted(s, s - radius)
+        hi = np.searchsorted(s, s + radius, side="right")
+        total = int((hi - lo).sum())
+        if total < best[0]:
+            best = total, loc, lo, hi
+    _, loc, lo, hi = best
+    order = np.arange(n) if loc is None else np.argsort(cols[loc], kind="stable")
+    return order, lo, hi
+
+
 def dro_regret_scan(
     p: ProblemSpec,
     pol: PolicySpec,
@@ -711,6 +776,15 @@ def dro_regret_scan(
     """Maximize the exact regret over all grid pairs (mu, nu) with nu in the
     eps-ball of mu.  The result is a certified lower bound on the worst-case
     regret; paired with the analytic upper bound it forms a sandwich.
+
+    Only pairs that can lie in the ball are scored: the measures are sorted
+    on one location (:func:`_ball_windows`) and walked in blocks of at most
+    ``_SCAN_ROWS`` sorted rows, each scored against the union of its rows'
+    windows, with rows x window at most ``_SCAN_ENTRIES`` (or one row).  The
+    estimate is the largest regret of a pair that the block distance puts
+    in the ball and :func:`in_ball` certifies, and the witness the first
+    such pair in (mu index, nu index) order, as a row-major scan of all
+    pairs finds it.
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -740,28 +814,52 @@ def dro_regret_scan(
     V = np.abs(opts[:, None] - GA)
     row_max = V[:, np.unique(a_idx)].max(axis=1)
     cols = location_columns(kind, W)
+    # From here on rows and columns are sorted positions; order maps back.
+    order, lo, hi = _ball_windows(kind, cols, gaps, eps)
+    cols, a_idx, row_max = cols[:, order], a_idx[order], row_max[order]
 
-    # The witness is the first pair (row-major) of the largest score above
-    # best >= 0.  Rows whose scores are all <= best cannot move it, and pairs
-    # outside the ball score <= 0 (eps + BALL_SLACK - D has the exact sign).
-    # D may differ from the scalar distance in the last bit, so a pair on the
+    # Pairs outside the ball score <= 0 (eps + BALL_SLACK - D has the exact
+    # sign), and best >= 0.  A pair moves best_pair if it scores above best,
+    # or ties it and comes before it, so rows whose scores are all below
+    # best, or at most tie it after best_pair's mu, are skipped.  D may
+    # differ from the scalar distance in the last bit, so a pair on the
     # ball's edge can pass here and fail in_ball: each new best is certified.
     best = 0.0
     best_pair: tuple[int, int] | None = None
-    step = max(1, _SCAN_ENTRIES // n)
-    for start in range(0, n, step):
-        rows = start + np.flatnonzero(row_max[start : start + step] > best)
-        if rows.size:
-            D = distance_block(kind, cols, rows, gaps)
-            R = np.copysign(V[rows][:, a_idx], np.subtract(eps + BALL_SLACK, D, out=D), out=D)
-            while True:
-                r, j = divmod(int(np.argmax(R)), n)
-                if R[r, j] <= best:
-                    break
-                if in_ball(measure(int(rows[r])), measure(j), kind, eps):
-                    best, best_pair = float(R[r, j]), (int(rows[r]), j)
-                    break
-                R[r, j] = -1.0
+    start = 0
+    while start < n:
+        ends = hi[start : start + _SCAN_ROWS]
+        sizes = np.arange(1, len(ends) + 1) * (ends - lo[start])
+        block = slice(start, start + max(1, int(np.searchsorted(sizes, _SCAN_ENTRIES, "right"))))
+        start = block.stop
+        last_mu = -1 if best_pair is None else best_pair[0]
+        tied = (row_max[block] == best) & (order[block] <= last_mu)
+        rows = block.start + np.flatnonzero((row_max[block] > best) | tied)
+        if not rows.size:
+            continue
+        window = slice(lo[rows[0]], hi[rows[-1]])
+        D = distance_block(kind, cols[:, rows], cols[:, window], gaps)
+        R = np.copysign(
+            V[order[rows]][:, a_idx[window]], np.subtract(eps + BALL_SLACK, D, out=D), out=D
+        )
+        while True:
+            tops = R.max(axis=1)
+            top = float(tops.max())
+            if top < best or (top == best and best_pair is None):
+                break
+            r = np.flatnonzero(tops == top)
+            at, c = np.nonzero(R[r] == top)
+            r = r[at]
+            pairs = sorted(zip(order[rows[r]].tolist(), order[window.start + c].tolist()))
+            if top == best:  # only a tie before best_pair moves it
+                pairs = [pair for pair in pairs if pair < best_pair]
+            pair = next((q for q in pairs if in_ball(measure(q[0]), measure(q[1]), kind, eps)), None)
+            if pair is not None:
+                best, best_pair = top, pair
+            elif top > best:  # nothing certified at top: try the next score
+                R[r, c] = -1.0
+                continue
+            break
 
     witness = None
     if best_pair is not None:

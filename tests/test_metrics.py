@@ -172,7 +172,8 @@ class TestKernelMatchesReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_distance_block_matches_terms(self, kind, n, L, seed):
-        # The scan's location-at-a-time block against the terms reduced over
+        # The scan's location-at-a-time block, against all columns and
+        # against a contiguous slice of them, versus the terms reduced over
         # the location axis: bit-identical below 8 locations, where np.sum
         # adds left to right; from 8 on np.sum adds pairwise.
         rng = np.random.default_rng(seed)
@@ -186,12 +187,17 @@ class TestKernelMatchesReference:
             DistanceKind.TOTAL_VARIATION: lambda: 0.5 * terms.sum(axis=2),
             DistanceKind.WASSERSTEIN: lambda: terms.sum(axis=2),
         }[kind]()
-        got = distance_block(kind, location_columns(kind, Wm), rows, gaps)
-        assert got.shape == expected.shape
-        if L < 8:
-            assert got.tobytes() == expected.tobytes()
-        else:
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        cols = location_columns(kind, Wm)
+        lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+        for got, want in (
+            (distance_block(kind, cols[:, rows], cols, gaps), expected),
+            (distance_block(kind, cols[:, rows], cols[:, lo:hi], gaps), expected[:, lo:hi]),
+        ):
+            assert got.shape == want.shape
+            if L < 8:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(measure_pairs(), st.sampled_from(ALL_KINDS))

@@ -13,9 +13,11 @@ from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
     distance,
+    distance_block,
     distance_terms,
     in_ball,
     kolmogorov,
+    location_columns,
     total_variation,
     wasserstein1,
     weights_on,
@@ -305,6 +307,30 @@ class TestMonteCarlo:
         p, pol, mu, nus = case
         assert_matches_reference(p, pol, mu, nus, trials, seed)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_padded_cumsum_rows_are_each_cumsum(self, sizes, seed):
+        # monte_carlo_regret takes each history's cumulative weights from one
+        # row-wise cumsum over a zero-padded table: add.accumulate adds along
+        # each row in order, so a row's leading entries are the history's
+        # own np.cumsum, bit for bit (including sums that round below 1).
+        rng = np.random.default_rng(seed)
+        rows = [
+            below_one_cumsum(rng, k) if 3 <= k <= 11 and rng.random() < 0.5
+            else rng.dirichlet(np.ones(k)).tolist()
+            for k in sizes
+        ]
+        table = np.zeros((len(rows), max(sizes)))
+        for g, w in enumerate(rows):
+            table[g, : len(w)] = w
+        cum = np.cumsum(table, axis=1)
+        for g, w in enumerate(rows):
+            got = cum[g, : len(w)].tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in np.cumsum(w).tolist()]
+
     def test_uniforms_on_the_cumulative_weights(self, monkeypatch):
         # Uniforms exactly at, just below and just above every cumulative
         # weight, 0, and the largest double below 1 at or above a cumsum that
@@ -524,6 +550,16 @@ SCAN_CELLS = [
 ]
 
 
+def eps_on_boundary(d):
+    """The eps >= 0 with eps + BALL_SLACK == d, where one exists."""
+    eps = max(d - BALL_SLACK, 0.0)
+    for _ in range(4):  # undo the rounding of d - BALL_SLACK
+        if eps == 0.0 or eps + BALL_SLACK == d:
+            break
+        eps = float(np.nextafter(eps, math.inf if eps + BALL_SLACK < d else -math.inf))
+    return eps
+
+
 @st.composite
 def scan_cases(draw, locations, resolution):
     """A policy cell, a distance, a grid, an eps and a block budget for
@@ -555,11 +591,7 @@ def scan_cases(draw, locations, resolution):
             Wm = weights_on([ms[i], ms[j]], arr)
             terms = distance_terms(kind, Wm[0], Wm[1], np.append(arr[1:], problem.M) - arr)
             d = terms.max() if kind is K else terms.sum() * (0.5 if kind is TV else 1.0)
-            eps = max(d - BALL_SLACK, 0.0)
-            for _ in range(4):  # undo the rounding of d - BALL_SLACK
-                if eps == 0.0 or eps + BALL_SLACK == d:
-                    break
-                eps = float(np.nextafter(eps, math.inf if eps + BALL_SLACK < d else -math.inf))
+            eps = eps_on_boundary(d)
     entries = draw(st.sampled_from([1, 5, 64, 1 << 17]))
     return problem, pol, kind, grid, eps, entries
 
@@ -585,6 +617,46 @@ def weight_row_grids(draw):
     )
     assume(grid.measure_count <= 3000)
     return grid, upper
+
+
+@st.composite
+def window_cases(draw):
+    """A distance, 1-10 locations on [0, upper], weight rows on them and an
+    eps for ``regret._ball_windows``.  Sometimes a location sits at
+    ``upper`` (the last W1 gap is zero) and some locations get a partner
+    just over ``MERGE_TOL`` away.  The rows are a grid's, or random (their
+    CDFs and distances round more often).  eps is drawn at random, or puts
+    one pair exactly on the ball's edge: eps + BALL_SLACK equals its
+    ``distance_block`` value."""
+    kind = draw(st.sampled_from([K, TV, W]))
+    upper = draw(st.sampled_from([1.0, 10.0]))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+    locs = {f * upper for f in fractions}
+    for x in draw(st.lists(st.sampled_from(sorted(locs)), max_size=2)):
+        locs.add(x + draw(st.sampled_from([1.5e-12, 2e-12, 1e-11])))
+    if draw(st.booleans()):
+        locs.add(upper)
+    locs = sorted({min(v, upper) for v in locs})
+    if draw(st.booleans()):
+        grid = ScanGrid(
+            tuple(locs), draw(st.integers(1, 6)), max_atoms=draw(st.integers(1, 3))
+        )
+        assume(grid.measure_count <= 1500)
+        rows = grid_weight_rows(grid, upper)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n, L = draw(st.integers(1, 60)), len(locs)
+        rows = rng.dirichlet(np.ones(L), size=n) * (rng.random((n, L)) < 0.7)
+    arr = np.asarray(locs)
+    gaps = np.append(arr[1:], upper) - arr
+    cols = location_columns(kind, rows)
+    D = distance_block(kind, cols, cols, gaps)
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.0, 0.6))
+    else:
+        index = st.integers(0, len(rows) - 1)
+        eps = eps_on_boundary(float(D[draw(index), draw(index)]))
+    return kind, cols, gaps, D, eps
 
 
 class TestScan:
@@ -776,6 +848,91 @@ class TestScan:
         mu, (nu,) = rep.witness.mu, rep.witness.nus
         assert in_ball(mu, nu, TV, eps)
         assert rep.estimate == pytest.approx(exact_regret(p, SAA, mu, nu), abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=window_cases())
+    def test_windows_hold_every_pair_in_the_ball(self, case):
+        # Each location's term alone bounds the block distance, so every pair
+        # the scan's blocks could put in the ball lies in its row's window.
+        kind, cols, gaps, D, eps = case
+        n = D.shape[0]
+        order, lo, hi = regret._ball_windows(kind, cols, gaps, eps)
+        assert sorted(order.tolist()) == list(range(n))
+        assert (np.diff(lo) >= 0).all() and (np.diff(hi) >= 0).all()
+        at = np.empty(n, np.intp)
+        at[order] = np.arange(n)
+        mu, nu = np.nonzero(D <= eps + BALL_SLACK)
+        assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+
+    @pytest.mark.parametrize("kind", [K, TV, W])
+    def test_windows_hold_pairs_whose_distance_rounds_down(self, kind):
+        # Where x > 2y the difference x - y can be inexact.  Where it rounds
+        # down to eps + BALL_SLACK the pair is in the ball, yet
+        # x - (eps + BALL_SLACK) lies above y: only the widened radius keeps
+        # y in x's window.
+        rng = np.random.default_rng(3)
+        rows = rng.dirichlet(np.ones(2), size=40)
+        locs = np.array([0.25, 0.5])
+        gaps = np.append(locs[1:], 1.0) - locs
+        cols = location_columns(kind, rows)
+        D = distance_block(kind, cols, cols, gaps)
+        at = np.empty(len(rows), np.intp)
+        for d in np.unique(D[D > 0.25]).tolist():
+            eps = eps_on_boundary(d)
+            order, lo, hi = regret._ball_windows(kind, cols, gaps, eps)
+            at[order] = np.arange(len(rows))
+            mu, nu = np.nonzero(D <= eps + BALL_SLACK)
+            assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+
+    @pytest.mark.parametrize("entries", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "kind, resolution, max_atoms, eps",
+        # K reaches 2 * eps; on the dyadic W1 grid 72 in-ball pairs, in 72
+        # rows, tie exactly at the largest score.
+        [(K, 20, 2, 0.05), (K, 20, 2, 0.1), (W, 8, 3, 0.125)],
+    )
+    def test_ties_across_blocks_keep_the_first_witness(
+        self, kind, resolution, max_atoms, eps, entries
+    ):
+        # The sorted order puts equal scores in many blocks; the witness is
+        # still the first such pair in (mu, nu) order.
+        p = ProblemSpec.newsvendor(1, 1, 1)
+        grid = ScanGrid((0.0, 0.25, 0.5, 0.75, 1.0), resolution, max_atoms)
+        with mock.patch.object(regret, "_SCAN_ENTRIES", entries):
+            rep = dro_regret_scan(p, SAA, kind, eps, grid)
+        estimate, (mu, nu) = reference_dro_regret_scan(p, SAA, kind, eps, grid)
+        assert rep.estimate.hex() == estimate.hex()
+        assert rep.estimate == pytest.approx(2 * eps, abs=1e-9)
+        assert (rep.witness.mu, rep.witness.nus) == (mu, (nu,))
+
+    @pytest.mark.parametrize("entries", [regret._SCAN_ENTRIES, 4096])
+    def test_blocks_bounded(self, monkeypatch, entries):
+        # Every block of the default grids and of the 1055- and 1905-measure
+        # grids holds at most _SCAN_ENTRIES pairs and _SCAN_ROWS rows; a
+        # smaller _SCAN_ENTRIES (still above one row) binds before the rows.
+        from heterodro.cli import default_scan_grid
+
+        monkeypatch.setattr(regret, "_SCAN_ENTRIES", entries)
+
+        blocks = []
+
+        def recording(kind, a, b, gaps):
+            blocks.append((a.shape[1], b.shape[1]))
+            return distance_block(kind, a, b, gaps)
+
+        monkeypatch.setattr(regret, "distance_block", recording)
+        for p in (ProblemSpec.newsvendor(1, 1, 1), ProblemSpec.pricing(1), ProblemSpec.ski_rental(3, 10)):
+            for kind in (K, TV, W):
+                for eps in (0.005, 0.02, 0.1):
+                    dro_regret_scan(p, SAA, kind, eps, default_scan_grid(p, kind, SAA, eps))
+        locs = (0.1, 0.3, 0.5, 0.7, 0.9)
+        for res, n in ((15, 1055), (20, 1905)):
+            grid = ScanGrid(locs, weight_resolution=res, max_atoms=3, max_pairs=10**8)
+            assert grid.measure_count == n
+            for kind in (K, TV, W):
+                dro_regret_scan(ProblemSpec.newsvendor(1, 1, 1), SAA, kind, 0.1, grid)
+        assert blocks
+        assert all(r * w <= entries and r <= regret._SCAN_ROWS for r, w in blocks)
 
     def test_block_memory(self):
         # 1905 measures: the distance and regret blocks are (rows x n) with
