@@ -333,6 +333,17 @@ def _parse_params(specs: list[str]) -> dict:
     return out
 
 
+def _numbers(option: str, text: str) -> list[float]:
+    """The comma-separated values of ``option``; each must be a number."""
+    out = []
+    for item in text.split(","):
+        try:
+            out.append(float(item))
+        except ValueError:
+            raise ConfigInvalid(f"{option} item {item!r} is not a number") from None
+    return out
+
+
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ConfigInvalid(f"{name} must be finite, got {value}")
@@ -499,7 +510,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         pol = PolicySpec.from_text(args.policy)
         kind = DistanceKind.from_text(args.kind)
         if args.locations is not None:
-            locs, res = tuple(sorted(float(v) for v in args.locations.split(","))), 100
+            locs, res = tuple(sorted(_numbers("--locations", args.locations))), 100
         else:
             default = default_scan_grid(p, kind, pol, args.eps)
             locs, res = default.locations, default.weight_resolution
@@ -527,7 +538,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         p = ProblemSpec.from_text(args.problem)
         kind = DistanceKind.from_text(args.kind)
         pol = None if args.policy == "recommended" else PolicySpec.from_text(args.policy)
-        eps_grid = tuple(float(v) for v in args.eps_grid.split(","))
+        eps_grid = tuple(_numbers("--eps-grid", args.eps_grid))
         cfg = ExperimentConfig(
             problem=p,
             kind=kind,

@@ -172,17 +172,6 @@ def quantile(m: FiniteMeasure, q: float) -> float:
     return m.support[min(i, len(m.support) - 1)]
 
 
-def mix(a: FiniteMeasure, b: FiniteMeasure, lam: float) -> FiniteMeasure:
-    """Convex combination lam*a + (1-lam)*b (same interval)."""
-    if a.upper != b.upper:
-        raise MeasureError("cannot mix measures on different intervals")
-    if not (0.0 <= lam <= 1.0):
-        raise MeasureError(f"mixture coefficient {lam} outside [0, 1]")
-    pts = list(a.support) + list(b.support)
-    wts = [lam * w for w in a.weights] + [(1.0 - lam) * w for w in b.weights]
-    return make_finite_measure(pts, wts, a.upper)
-
-
 def to_text(m: FiniteMeasure) -> str:
     """Serialize as ``p1:w1,p2:w2,...@upper`` (round-trip exact)."""
     body = ",".join(f"{p!r}:{w!r}" for p, w in zip(m.support, m.weights))

@@ -14,9 +14,10 @@ sorted locations (:func:`weights_on`; one ``np.unique`` for a pair), and
 scalar distances sum with ``math.fsum``, correctly rounded whatever the
 order.  The DRO scan takes the same terms one location at a time
 (:func:`location_columns`, :func:`distance_block`) on blocks of (mu, nu)
-pairs and keeps a running max or a running sum in location order, fast but
-possibly off from ``fsum`` in the last bits, so its witness is re-checked
-with the scalar :func:`in_ball`.
+pairs and keeps a running max or a running sum in location order.  On a
+grid's rows its K is the scalar one bit for bit; its TV and W1 sums are fast
+but possibly off from ``fsum`` in the last bits, so their witnesses are
+re-checked with the scalar :func:`in_ball`.
 """
 
 from __future__ import annotations

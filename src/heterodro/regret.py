@@ -638,8 +638,8 @@ def evaluate_pair(pair: AdversarialPair, pol: PolicySpec | None = None) -> float
 # writes them as weight rows over the grid's locations, problems.oracle_rows
 # gives every row's oracle action at once (bit-identical to oracle), and the
 # policy is applied once per distinct oracle action.  A FiniteMeasure is
-# built from its row only for a pair that in_ball certifies and for the
-# witness.  The pair loop (metrics.location_columns, metrics.distance_block)
+# built from its row only for a TV or W1 pair that in_ball certifies and for
+# the witness.  The pair loop (metrics.location_columns, metrics.distance_block)
 # scores each measure only against the window of the sorted grid that can
 # hold its ball (_ball_windows): O(n * (window + _SCAN_ROWS) * L), and
 # O(n^2 L) only when every window spans the grid.
@@ -731,7 +731,7 @@ def _ball_windows(
     eps + BALL_SLACK.
 
     Each location's term alone bounds that distance, since float sums of
-    non-negative terms never shrink: |dF| <= D for K, |dw| / 2 <= D for TV,
+    non-negative terms never shrink: |dF| <= D for K, |dw| <= D + ulps for TV,
     gap * |dF| <= D for W1 (each as rounded).  So sorting on one location's
     column puts the ball's measures in one contiguous window; the location
     with the smallest total window is taken (with none, the grid's own order
@@ -741,6 +741,14 @@ def _ball_windows(
     is 1 or more narrows next to nothing (CDFs and weights lie in [0, 1])
     and is skipped, W1 locations with a gap <= eps + BALL_SLACK (the one at
     ``upper`` included) among them.
+
+    TV rows must fsum to exactly 1, as grid rows do (and a location left out
+    of ``cols`` must agree in all rows).  The ulps: two rows' exact sums
+    differ by at most 3 * 2^-54, so |dw_l| <= sum |dw| / 2 + 2^-53.  The m
+    rounded terms and m - 1 additions lose at most a factor 1 - 2^-53 each,
+    so sum |dw| <= 2 D (1 + m * 2^-52): D <= e gives |dw_l| <= e + m * e *
+    2^-52 + 2^-53, below the radius e + (m * e + 1) * 2^-50 by more than
+    its own roundings.
     """
     n = cols.shape[1]
     e = eps + BALL_SLACK
@@ -750,8 +758,10 @@ def _ball_windows(
             if gap <= e:
                 continue
             radius = e / gap
+        elif kind is DistanceKind.TOTAL_VARIATION:
+            radius = e + (len(gaps) * e + 1.0) * 2.0**-50
         else:
-            radius = 2.0 * e if kind is DistanceKind.TOTAL_VARIATION else e
+            radius = e
         radius *= 1.0 + 2.0**-48
         if radius >= 1.0:
             continue
@@ -782,9 +792,9 @@ def dro_regret_scan(
     ``_SCAN_ROWS`` sorted rows, each scored against the union of its rows'
     windows, with rows x window at most ``_SCAN_ENTRIES`` (or one row).  The
     estimate is the largest regret of a pair that the block distance puts
-    in the ball and :func:`in_ball` certifies, and the witness the first
-    such pair in (mu index, nu index) order, as a row-major scan of all
-    pairs finds it.
+    in the ball and, for TV and W1, :func:`in_ball` certifies, and the
+    witness the first such pair in (mu index, nu index) order, as a
+    row-major scan of all pairs finds it.
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -814,6 +824,11 @@ def dro_regret_scan(
     V = np.abs(opts[:, None] - GA)
     row_max = V[:, np.unique(a_idx)].max(axis=1)
     cols = location_columns(kind, W)
+    # Where every row agrees, or a W1 gap is 0, each term is +0.0, which
+    # leaves D bit for bit: drop those locations (if none is left, keep one).
+    live = (np.ptp(cols, axis=1) > 0.0) & ((gaps > 0.0) | (kind is not DistanceKind.WASSERSTEIN))
+    live[live.argmax()] = True
+    cols, gaps = cols[live], gaps[live]
     # From here on rows and columns are sorted positions; order maps back.
     order, lo, hi = _ball_windows(kind, cols, gaps, eps)
     cols, a_idx, row_max = cols[:, order], a_idx[order], row_max[order]
@@ -823,7 +838,12 @@ def dro_regret_scan(
     # or ties it and comes before it, so rows whose scores are all below
     # best, or at most tie it after best_pair's mu, are skipped.  D may
     # differ from the scalar distance in the last bit, so a pair on the
-    # ball's edge can pass here and fail in_ball: each new best is certified.
+    # ball's edge can pass here and fail in_ball: each new best is certified,
+    # except for K, whose D on grid rows is kolmogorov's bit for bit (both
+    # cumsum the same weights in the same order; the grid's zeros add +0.0).
+    def certified(q: tuple[int, int]) -> bool:
+        return kind is DistanceKind.KOLMOGOROV or in_ball(measure(q[0]), measure(q[1]), kind, eps)
+
     best = 0.0
     best_pair: tuple[int, int] | None = None
     start = 0
@@ -853,7 +873,7 @@ def dro_regret_scan(
             pairs = sorted(zip(order[rows[r]].tolist(), order[window.start + c].tolist()))
             if top == best:  # only a tie before best_pair moves it
                 pairs = [pair for pair in pairs if pair < best_pair]
-            pair = next((q for q in pairs if in_ball(measure(q[0]), measure(q[1]), kind, eps)), None)
+            pair = next(filter(certified, pairs), None)
             if pair is not None:
                 best, best_pair = top, pair
             elif top > best:  # nothing certified at top: try the next score

@@ -75,6 +75,17 @@ def empirical_from(samples, upper):
     return make_finite_measure(xs, [1.0 / len(xs)] * len(xs), upper)
 
 
+def mix(a, b, lam):
+    """Convex combination lam*a + (1-lam)*b (same interval)."""
+    if a.upper != b.upper:
+        raise MeasureError("cannot mix measures on different intervals")
+    if not (0.0 <= lam <= 1.0):
+        raise MeasureError(f"mixture coefficient {lam} outside [0, 1]")
+    pts = list(a.support) + list(b.support)
+    wts = [lam * w for w in a.weights] + [(1.0 - lam) * w for w in b.weights]
+    return make_finite_measure(pts, wts, a.upper)
+
+
 # Reference forms of measure construction, parsing and the scalar distance
 # terms: one Python step per atom.  The library's builtin and numpy forms
 # must give the same fields, bit for bit, and the same errors.

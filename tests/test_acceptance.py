@@ -13,7 +13,7 @@ import pytest
 
 from heterodro.approx import bernstein_error_check
 from heterodro.cli import default_scan_grid, fit_rate, main
-from heterodro.measures import make_finite_measure, mix
+from heterodro.measures import make_finite_measure
 from heterodro.metrics import (
     DistanceKind,
     distance,
@@ -42,7 +42,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import empirical_from, enumerate_grid_measures, mean, random_measure
+from conftest import empirical_from, enumerate_grid_measures, mean, mix, random_measure
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()

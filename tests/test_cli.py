@@ -302,6 +302,23 @@ class TestCommands:
         assert line.startswith("error:") and name in line and "finite" in line
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--kind", "k", "--eps-grid"],
+            ["dro-scan", "--policy", "saa", "--kind", "k", "--eps", "0.1", "--locations"],
+        ],
+        ids=["eps-grid", "locations"],
+    )
+    @pytest.mark.parametrize(
+        "text, item", [("0.1,,0.2", ""), ("abc", "abc"), ("0.1,0.2,", "")], ids=["empty", "abc", "trailing"]
+    )
+    def test_list_item_not_a_number_exits_2(self, capsys, argv, text, item):
+        assert main(argv[:1] + ["--problem", "newsvendor:1,1,1"] + argv[1:] + [text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[-1]} item {item!r} is not a number\n"
+
+    @pytest.mark.parametrize(
         "name, params, key",
         [
             ("pr_w_saa_fail", "eps=inf,M=1", "eps"),

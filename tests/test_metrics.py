@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import FiniteMeasure, make_finite_measure, mix
+from heterodro.measures import FiniteMeasure, make_finite_measure
 from heterodro.metrics import (
     DistanceKind,
     MismatchedInterval,
@@ -21,7 +21,7 @@ from heterodro.metrics import (
     weights_on,
 )
 
-from conftest import empirical_from, random_measure, reference_pair_terms
+from conftest import empirical_from, mix, random_measure, reference_pair_terms
 
 ALL_KINDS = list(DistanceKind)
 

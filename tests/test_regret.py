@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heterodro.measures import MERGE_TOL, _from_canonical, make_finite_measure, mix
+from heterodro.measures import MERGE_TOL, _from_canonical, _renormalized, make_finite_measure
 from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
@@ -55,7 +55,7 @@ from heterodro.regret import (
     ski_indifference_measure,
 )
 
-from conftest import cdf, enumerate_grid_measures, mean, reference_dro_regret_scan
+from conftest import cdf, enumerate_grid_measures, mean, mix, reference_dro_regret_scan
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
@@ -625,9 +625,10 @@ def window_cases(draw):
     eps for ``regret._ball_windows``.  Sometimes a location sits at
     ``upper`` (the last W1 gap is zero) and some locations get a partner
     just over ``MERGE_TOL`` away.  The rows are a grid's, or random (their
-    CDFs and distances round more often).  eps is drawn at random, or puts
-    one pair exactly on the ball's edge: eps + BALL_SLACK equals its
-    ``distance_block`` value."""
+    CDFs and distances round more often); random TV rows are renormalised
+    to fsum 1, as grid rows are, which the TV windows need.  eps is drawn
+    at random, or puts one pair exactly on the ball's edge: eps + BALL_SLACK
+    equals its ``distance_block`` value."""
     kind = draw(st.sampled_from([K, TV, W]))
     upper = draw(st.sampled_from([1.0, 10.0]))
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
@@ -647,6 +648,9 @@ def window_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         n, L = draw(st.integers(1, 60)), len(locs)
         rows = rng.dirichlet(np.ones(L), size=n) * (rng.random((n, L)) < 0.7)
+        if kind is TV:
+            rows[~rows.any(axis=1), 0] = 1.0
+            rows = np.array([_renormalized(row) for row in rows.tolist()])
     arr = np.asarray(locs)
     gaps = np.append(arr[1:], upper) - arr
     cols = location_columns(kind, rows)
@@ -883,6 +887,61 @@ class TestScan:
             at[order] = np.arange(len(rows))
             mu, nu = np.nonzero(D <= eps + BALL_SLACK)
             assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+
+    def test_tv_windows_hold_pairs_whose_weights_round_apart(self):
+        # Rows that fsum to 1 can differ at one location by an ulp or so more
+        # than their TV distance.  Near eps = 0 a relative widening of the
+        # radius misses that; its additive term keeps such pairs inside.
+        rng = np.random.default_rng(0)
+        x, d = rng.random(40), 10.0 ** rng.uniform(-11.5, -10, 40)
+        pairs = [([v, 1 - v], [v + dv, 1 - v - dv]) for v, dv in zip(x.tolist(), d.tolist())]
+        rows = np.array([_renormalized(r) for pair in pairs for r in pair])
+        gaps = np.array([0.5, 0.5])
+        cols = location_columns(TV, rows)
+        D = distance_block(TV, cols, cols, gaps)
+        at = np.empty(len(rows), np.intp)
+        for k in range(len(pairs)):
+            eps = eps_on_boundary(float(D[2 * k, 2 * k + 1]))
+            order, lo, hi = regret._ball_windows(TV, cols, gaps, eps)
+            at[order] = np.arange(len(rows))
+            mu, nu = np.nonzero(D <= eps + BALL_SLACK)
+            assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
+    def test_tv_windows_reach_eps_not_twice_eps(self, eps):
+        # |dw| at one location is at most the TV distance (plus ulps), not
+        # twice it, so no window holds more than some location's pairs
+        # within eps + BALL_SLACK of each other.  A 2 * eps radius would also
+        # take pairs up to 0.1, 0.2 or 0.5 apart.
+        grid = ScanGrid((0.0, 0.25, 0.5, 0.75, 1.0), 10, 2)
+        cols = location_columns(TV, grid_weight_rows(grid, 1.0))
+        _, lo, hi = regret._ball_windows(TV, cols, np.full(5, 0.25), eps)
+        reach = (eps + BALL_SLACK) * (1 + 2.0**-40)
+        counts = [int((np.abs(c[:, None] - c) <= reach).sum()) for c in cols]
+        assert (hi - lo).sum() <= min(counts) < len(hi) ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=weight_row_grids(), kind=st.sampled_from([K, TV, W]), seed=st.integers(0, 2**32 - 1))
+    def test_block_distances_without_all_zero_locations(self, case, kind, seed):
+        # At a location where every row agrees (or a W1 gap is 0) each term
+        # is +0.0, so the scan drops it and D stays bit for bit; and on grid
+        # rows block K is the scalar kolmogorov, so the scan takes K pairs
+        # without in_ball.
+        grid, upper = case
+        rows = grid_weight_rows(grid, upper)
+        locs = np.asarray(grid.locations)
+        gaps = np.append(locs[1:], upper) - locs
+        cols = location_columns(kind, rows)
+        D = distance_block(kind, cols, cols, gaps)
+        live = (cols.max(axis=1) > cols.min(axis=1)) & ((gaps > 0.0) | (kind is not W))
+        assert live.any() or D.shape == (1, 1)
+        if live.any():
+            assert distance_block(kind, cols[live], cols[live], gaps[live]).tobytes() == D.tobytes()
+        if kind is K:
+            ms = [_row_measure(row, locs, upper) for row in rows]
+            pairs = np.random.default_rng(seed).integers(len(ms), size=(200, 2)).tolist()
+            for i, j in pairs + [[0, len(ms) - 1]]:
+                assert float(D[i, j]).hex() == kolmogorov(ms[i], ms[j]).hex()
 
     @pytest.mark.parametrize("entries", [1, 5, 64])
     @pytest.mark.parametrize(
