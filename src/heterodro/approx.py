@@ -5,9 +5,9 @@ governed by how well g(x, .) can be approximated inside the distance's
 maximal generator: bounded-variation functions for Kolmogorov, 1-Lipschitz
 for Wasserstein, bounded-span for total variation.  This module exposes the
 closed-form total variation / Lipschitz constant / span of each objective,
-a brute-force numeric cross-check, the resulting finite-or-infinite SAA
-coefficient, and the Bernstein-polynomial machinery used for objectives
-that are only Hoelder continuous.
+the resulting finite-or-infinite SAA coefficient, and the
+Bernstein-polynomial machinery used for objectives that are only Hoelder
+continuous.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import DistanceKind
-from .problems import ProblemKind, ProblemSpec, objective
+from .problems import ProblemKind, ProblemSpec
 
 
 class DegreeZero(ValueError):
@@ -59,43 +59,21 @@ def objective_stats(p: ProblemSpec, x: float) -> ObjectiveStats:
     return ObjectiveStats(total_variation=x + p.b, lipschitz=math.inf, span=span)
 
 
-def objective_stats_numeric(p: ProblemSpec, x: float, grid_n: int) -> ObjectiveStats:
-    """Grid estimates: V-hat = sum |f(xi_{i+1}) - f(xi_i)|, Lip-hat the max
-    slope, span-hat = max - min.  All are lower bounds on the closed forms
-    and converge as grid_n grows."""
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    xi = np.linspace(0.0, p.M, grid_n)
-    f = objective(p, x, xi)
-    steps = np.abs(np.diff(f))
-    h = xi[1] - xi[0]
-    return ObjectiveStats(
-        total_variation=float(steps.sum()),
-        lipschitz=float(steps.max() / h) if grid_n > 1 else 0.0,
-        span=float(f.max() - f.min()),
-    )
-
-
 def saa_diagnostic(p: ProblemSpec, kind: DistanceKind) -> float:
     """SAA regret coefficient: the regret is bounded by coefficient * eps.
 
     Returns 2*sup_x V (Kolmogorov), 2*sup_x Lip (Wasserstein), or
     2*sup_x span (total variation); math.inf signals that SAA can fail
-    outright for this (problem, distance) combination.
+    outright for this (problem, distance) combination.  Every field of
+    objective_stats is affine, convex or constant in x on [0, M], so the
+    supremum sits at x = 0 or x = M.
     """
-    if p.kind is ProblemKind.NEWSVENDOR:
-        sup_v = max(p.c_u, p.c_o) * p.M
-        sup_lip = max(p.c_u, p.c_o)
-        sup_span = max(p.c_u, p.c_o) * p.M
-    elif p.kind is ProblemKind.PRICING:
-        sup_v, sup_lip, sup_span = p.M, math.inf, p.M
-    else:
-        sup_v, sup_lip, sup_span = p.M + p.b, math.inf, p.M + p.b
-    if kind is DistanceKind.KOLMOGOROV:
-        return 2.0 * sup_v
-    if kind is DistanceKind.WASSERSTEIN:
-        return 2.0 * sup_lip
-    return 2.0 * sup_span
+    name = {
+        DistanceKind.KOLMOGOROV: "total_variation",
+        DistanceKind.WASSERSTEIN: "lipschitz",
+        DistanceKind.TOTAL_VARIATION: "span",
+    }[kind]
+    return 2.0 * max(getattr(objective_stats(p, x), name) for x in (0.0, p.M))
 
 
 def bernstein_eval(f: Callable[[float], float], q: int, y: float) -> float:

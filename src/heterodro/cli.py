@@ -25,6 +25,7 @@ from .problems import ProblemKind, ProblemSpec, expected_objective, oracle
 from .regret import (
     _FAMILY_PARAMS,
     AdversarialPair,
+    FamilyMismatch,
     RegretReport,
     ScanGrid,
     adversarial_instance,
@@ -187,12 +188,6 @@ def default_scan_grid(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec, eps: 
     return ScanGrid(tuple(locs), weight_resolution=res, max_atoms=2)
 
 
-def _resolve_policy(cfg: ExperimentConfig, eps: float) -> PolicySpec:
-    if cfg.policy is not None:
-        return cfg.policy
-    return recommended_parameter(cfg.problem, cfg.kind, eps)
-
-
 def _named_report(
     pair: AdversarialPair, pol: PolicySpec | None, bounds: tuple | None, seed: int
 ) -> RegretReport:
@@ -211,11 +206,12 @@ def _named_report(
 
 def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | None, str]]:
     """One report per eps (ordered); eps values outside a construction's
-    validity range yield (eps, None, warning) instead of aborting the sweep."""
+    validity range yield (eps, None, warning) instead of aborting the sweep.
+    A family that builds a different instance than asked raises FamilyMismatch."""
     results: list[tuple[float, RegretReport | None, str]] = []
     for eps in cfg.eps_grid:
         try:
-            pol = _resolve_policy(cfg, eps)
+            pol = cfg.policy or recommended_parameter(cfg.problem, cfg.kind, eps)
             if cfg.mode == "dro-scan":
                 grid = default_scan_grid(cfg.problem, cfg.kind, pol, eps)
                 report = dro_regret_scan(cfg.problem, pol, cfg.kind, eps, grid)
@@ -239,6 +235,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                         report, analytic_lower=lo, analytic_upper=hi, witness=pair
                     )
             results.append((eps, report, ""))
+        except FamilyMismatch:
+            raise
         except ValueError as exc:
             results.append((eps, None, f"skipped: {exc}"))
     return results

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import saa_diagnostic
 from .measures import MERGE_TOL, FiniteMeasure, _from_canonical, _renormalized, make_finite_measure
 from .metrics import BALL_SLACK, DistanceKind, distance_block, in_ball, location_columns, weights_on
 from .policies import PolicyKind, PolicySpec, apply_policy, policy_action, recommended_parameter
@@ -29,7 +30,6 @@ from .problems import (
     expected_objective_grid,
     objective,
     opt_value,
-    oracle,
     oracle_rows,
 )
 
@@ -71,6 +71,10 @@ class GridTooLarge(ValueError):
 
 
 class NoAnalyticBound(ValueError):
+    pass
+
+
+class FamilyMismatch(ValueError):
     pass
 
 
@@ -598,9 +602,11 @@ def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     """Build a named adversarial construction; see _FAMILIES for the list.
 
     Raises UnknownName, ValueError for an unknown or a non-finite numeric
-    parameter, or EpsTooLarge when eps violates the construction's validity
+    parameter, EpsTooLarge when eps violates the construction's validity
     condition (outside it the measures would not be measures or the target
-    formula would not hold).
+    formula would not hold), or FamilyMismatch when the built pair's eps,
+    kind, M, c_u, c_o or b differs from a given one (a family ignores or
+    fixes some of them).
     """
     if name not in _FAMILIES:
         raise UnknownName(f"unknown adversarial family {name!r}")
@@ -610,9 +616,18 @@ def adversarial_instance(name: str, params: dict) -> AdversarialPair:
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise ValueError(f"parameter {key} must be finite, got {value}")
     try:
-        return _FAMILIES[name](dict(params))
+        pair = _FAMILIES[name](dict(params))
     except KeyError as exc:
         raise ValueError(f"family {name!r} requires parameter {exc.args[0]!r}") from exc
+    built = {"eps": pair.eps, "kind": pair.kind}
+    built.update((key, getattr(pair.problem, key)) for key in ("M", "c_u", "c_o", "b"))
+    for key, value in params.items():
+        if key in built and built[key] != value:
+            shown = [getattr(v, "value", v) for v in (built[key], value)]
+            raise FamilyMismatch(
+                f"family {name!r} builds {key}={shown[0]}, not the given {key}={shown[1]}"
+            )
+    return pair
 
 
 def evaluate_pair(pair: AdversarialPair, pol: PolicySpec | None = None) -> float:
@@ -913,31 +928,30 @@ def analytic_bounds(
 ) -> tuple[float, float]:
     """Closed-form (lower, upper) asymptotic worst-case regret for the cell.
 
-    pol_kind is 'saa' or 'best'.  Total-variation upper bounds reuse the
-    Kolmogorov ones (regret under TV is dominated by regret under K at the
-    same radius).  Raises EpsTooLarge outside the validity range of the
-    underlying statement and NoAnalyticBound for an unknown cell.
+    pol_kind is 'saa' or 'best'.  The SAA upper bound under Kolmogorov or
+    TV, and for newsvendor under W1, is saa_diagnostic(p, kind) * eps; the
+    'best' cell shares it wherever SAA is the recommended policy.  Raises
+    EpsTooLarge outside the validity range of the underlying statement and
+    NoAnalyticBound for an unknown cell.
     """
     if pol_kind not in ("saa", "best"):
         raise NoAnalyticBound(f"unknown policy kind {pol_kind!r}")
     if eps <= 0.0:
         raise EpsTooLarge(f"bounds need eps > 0, got {eps}")
     kv = kind.value
+    saa_upper = saa_diagnostic(p, kind) * eps
     if p.kind is ProblemKind.NEWSVENDOR:
         q = p.critical_fractile
         cap = min(q, 1 - q) if kind is not DistanceKind.WASSERSTEIN else p.M * min(q, 1 - q)
         if eps > cap:
             raise EpsTooLarge(f"newsvendor/{kv} bounds need eps <= {cap}")
         scale = 1.0 if kind is DistanceKind.WASSERSTEIN else p.M
-        return (
-            0.5 * (p.c_u + p.c_o) * scale * eps,
-            2.0 * max(p.c_u, p.c_o) * scale * eps,
-        )
+        return 0.5 * (p.c_u + p.c_o) * scale * eps, saa_upper
     if p.kind is ProblemKind.PRICING:
         if kind is not DistanceKind.WASSERSTEIN:
             if eps > 0.5:
                 raise EpsTooLarge(f"pricing/{kv} bounds need eps <= 1/2")
-            return 0.5 * p.M * eps, 2.0 * p.M * eps
+            return 0.5 * p.M * eps, saa_upper
         if pol_kind == "saa":
             return p.M, p.M
         if eps > p.M / 4.0:
@@ -948,7 +962,7 @@ def analytic_bounds(
         if eps > 0.5:
             raise EpsTooLarge(f"ski/{kv} bounds need eps <= 1/2")
         if pol_kind == "saa":
-            return p.M * eps, 2.0 * (p.M + p.b) * eps
+            return p.M * eps, saa_upper
         if p.b < 1.0:
             raise NoAnalyticBound("ski capped-policy bounds assume b >= 1")
         if p.b * math.log(1.0 / eps) > p.M:
@@ -984,61 +998,3 @@ def bounds_for_policy(
     except (EpsTooLarge, NoAnalyticBound, ValueError):
         return None, None
     return None, None
-
-
-# ---------------------------------------------------------------------------
-# two-sample heterogeneity comparison
-
-
-def _integer_saa_action(
-    p: ProblemSpec, samples: tuple[float, ...], xs: list[float], prefer_largest: bool
-) -> float:
-    """Empirical-cost argmin over an explicit action grid.
-
-    The three-point ski variant resolves oracle ties by renting as long as
-    possible, so its comparison sweep uses prefer_largest=True.
-    """
-    best_x, best_c = xs[0], math.inf
-    for x, costs in zip(xs, objective(p, np.asarray(xs)[:, None], samples).tolist()):
-        c = math.fsum(costs) / len(samples)
-        if c < best_c or (prefer_largest and c == best_c):
-            best_x, best_c = x, c
-    return best_x
-
-
-def hetero_helps_homogeneous_max(k: int, resolution: int = 50) -> float:
-    """Best two-sample SAA regret achievable with a single historical
-    distribution on the three-point ski variant, against mu = point mass at
-    k+1 (the worst out-of-sample measure of the heterogeneous construction).
-
-    Sweeps all weight vectors of the given resolution on {k, k+1, 3k+2}.
-    The heterogeneous pair (delta_k, delta_{3k+2}) forces the uniquely bad
-    action k with probability one; no single distribution can, so this max
-    stays strictly below 2k.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    M = 3 * k + 2
-    p = ProblemSpec.ski_rental(2 * k + 1, M)
-    atoms = [float(k), float(k + 1), float(M)]
-    xs = [float(x) for x in range(M + 1)]
-
-    action_of = {}
-    for i, j in itertools.combinations_with_replacement(range(3), 2):
-        action_of[(i, j)] = _integer_saa_action(p, (atoms[i], atoms[j]), xs, prefer_largest=True)
-
-    mu_atom = atoms[1]  # k + 1
-    g_mu = dict(zip(xs, objective(p, xs, mu_atom).tolist()))
-    opt_mu = min(g_mu.values())
-
-    best = 0.0
-    r = resolution
-    for i in range(r + 1):
-        for j in range(r + 1 - i):
-            w = (i / r, j / r, (r - i - j) / r)
-            value = 0.0
-            for (ia, ja), act in action_of.items():
-                prob = w[ia] * w[ja] * (1.0 if ia == ja else 2.0)
-                value += prob * (g_mu[act] - opt_mu)
-            best = max(best, value)
-    return best

@@ -37,12 +37,18 @@ from heterodro.regret import (
     evaluate_pair,
     exhaustive_regret_n2,
     fixed_action_minimax,
-    hetero_helps_homogeneous_max,
     monte_carlo_regret,
     ski_indifference_measure,
 )
 
-from conftest import empirical_from, enumerate_grid_measures, mean, mix, random_measure
+from conftest import (
+    empirical_from,
+    enumerate_grid_measures,
+    hetero_helps_homogeneous_max,
+    mean,
+    mix,
+    random_measure,
+)
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()

@@ -13,11 +13,12 @@ from heterodro.approx import (
     bernstein_error_check,
     bernstein_eval,
     objective_stats,
-    objective_stats_numeric,
     saa_diagnostic,
 )
 from heterodro.metrics import DistanceKind
 from heterodro.problems import ProblemKind, ProblemSpec
+
+from conftest import objective_stats_numeric
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 

@@ -281,6 +281,39 @@ class TestCommands:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rates", "--problem", "newsvendor:1,1,1", "--kind", "k", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,0.04", "--family", "pr_k_pair"],
+             "family 'pr_k_pair' builds c_u=None, not the given c_u=1.0"),
+            (["rates", "--problem", "pricing:1", "--kind", "k", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,0.04", "--family", "pr_w_saa_fail"],
+             "family 'pr_w_saa_fail' builds kind=wasserstein, not the given kind=kolmogorov"),
+            (["rates", "--problem", "ski:3,10", "--kind", "tv", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,1.0", "--mode", "monte-carlo", "--trials", "2",
+              "--family", "hetero_helps", "--params", "k=1"],
+             "family 'hetero_helps' builds eps=1.0, not the given eps=0.01"),
+            (["adversarial", "--name", "pr_w_lower", "--kind", "kolmogorov",
+              "--params", "eps=0.01"],
+             "family 'pr_w_lower' builds kind=wasserstein, not the given kind=kolmogorov"),
+            (["adversarial", "--name", "hetero_helps", "--params", "k=1,eps=0.3"],
+             "family 'hetero_helps' builds eps=1.0, not the given eps=0.3"),
+        ],
+        ids=["rates-problem", "rates-kind", "rates-mc-eps", "adversarial-kind", "adversarial-eps"],
+    )
+    def test_family_building_another_instance_exits_2(self, capsys, argv, message):
+        # never a row for an instance other than the one asked for
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_family_given_its_own_values_runs(self, capsys):
+        argv = ["adversarial", "--name", "hetero_helps", "--kind", "tv", "--params", "k=1,eps=1"]
+        assert main(argv) == 0
+        assert csv_to_rows(capsys.readouterr().out)[0]["eps"] == "1"
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["dro-scan", "--policy", "saa", "--kind", "k", "--eps", "inf"], "--eps"),

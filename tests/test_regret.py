@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heterodro.approx import saa_diagnostic
 from heterodro.measures import MERGE_TOL, _from_canonical, _renormalized, make_finite_measure
 from heterodro.metrics import (
     BALL_SLACK,
@@ -50,12 +51,20 @@ from heterodro.regret import (
     exhaustive_regret_n2,
     fixed_action_minimax,
     grid_weight_rows,
-    hetero_helps_homogeneous_max,
     monte_carlo_regret,
     ski_indifference_measure,
 )
 
-from conftest import cdf, enumerate_grid_measures, mean, mix, reference_dro_regret_scan
+from conftest import (
+    cdf,
+    enumerate_grid_measures,
+    hetero_helps_homogeneous_max,
+    mean,
+    mix,
+    reference_analytic_bounds,
+    reference_dro_regret_scan,
+    reference_saa_diagnostic,
+)
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
@@ -1042,6 +1051,59 @@ class TestAnalyticBounds:
 
         with pytest.raises(NoAnalyticBound):
             analytic_bounds(ProblemSpec.pricing(1), K, "oracle", 0.1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # Sizes in [0.01, 100] keep every product a normal float, where
+        # 2 * (a * M) and (2 * a) * M round alike.
+        size = st.floats(0.01, 100.0)
+        p = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    [
+                        ProblemSpec.newsvendor(1, 3, 1),
+                        ProblemSpec.pricing(1),
+                        ProblemSpec.ski_rental(3, 10),
+                    ]
+                ),
+                st.builds(ProblemSpec.newsvendor, size, size, size),
+                st.builds(ProblemSpec.pricing, size),
+                st.builds(
+                    lambda M, f: ProblemSpec.ski_rental(f * M, M), size, st.floats(0.01, 0.99)
+                ),
+            )
+        )
+        # eps on, and one ulp either side of, every validity cap
+        if p.kind is ProblemKind.NEWSVENDOR:
+            q = p.critical_fractile
+            caps = [min(q, 1 - q), p.M * min(q, 1 - q)]
+        elif p.kind is ProblemKind.PRICING:
+            caps = [0.5, p.M / 4.0]
+        else:
+            caps = [0.5, p.b / 4.0, math.exp(-p.M / p.b)]
+        cap = data.draw(st.sampled_from(caps))
+        eps = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    [cap, math.nextafter(cap, math.inf), math.nextafter(cap, 0.0), 0.0]
+                ),
+                st.floats(0.0, 1.5 * cap, exclude_min=True),
+            )
+        )
+
+        def result(bounds, *args):
+            try:
+                return [v.hex() for v in bounds(*args)]
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        for kind in DistanceKind:
+            assert saa_diagnostic(p, kind).hex() == reference_saa_diagnostic(p, kind).hex()
+            for pol_kind in ("saa", "best"):
+                got = result(analytic_bounds, p, kind, pol_kind, eps)
+                assert got == result(reference_analytic_bounds, p, kind, pol_kind, eps)
+        assert saa_diagnostic(p, TV).hex() == saa_diagnostic(p, K).hex()
 
     def test_bounds_for_policy_mapping(self):
         p = ProblemSpec.pricing(1)
