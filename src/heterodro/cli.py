@@ -26,6 +26,7 @@ from .regret import (
     _FAMILY_PARAMS,
     AdversarialPair,
     FamilyMismatch,
+    MissingParameter,
     RegretReport,
     ScanGrid,
     adversarial_instance,
@@ -207,7 +208,7 @@ def _named_report(
 def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | None, str]]:
     """One report per eps (ordered); eps values outside a construction's
     validity range yield (eps, None, warning) instead of aborting the sweep.
-    A family that builds a different instance than asked raises FamilyMismatch."""
+    A family error that holds for every eps (FamilyMismatch, MissingParameter) is raised."""
     results: list[tuple[float, RegretReport | None, str]] = []
     for eps in cfg.eps_grid:
         try:
@@ -235,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                         report, analytic_lower=lo, analytic_upper=hi, witness=pair
                     )
             results.append((eps, report, ""))
-        except FamilyMismatch:
+        except (FamilyMismatch, MissingParameter):
             raise
         except ValueError as exc:
             results.append((eps, None, f"skipped: {exc}"))

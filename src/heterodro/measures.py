@@ -70,9 +70,6 @@ class FiniteMeasure:
         if not self.support or len(self.support) != len(self.weights):
             raise MeasureError("support and weights must be nonempty and aligned")
 
-    def __str__(self) -> str:
-        return to_text(self)
-
 
 def _renormalized(weights: list[float], total: float | None = None) -> list[float]:
     """Scale weights so that math.fsum(weights) == 1.0 exactly; ``total``

@@ -77,11 +77,6 @@ class ProblemSpec:
         return cls(ProblemKind.SKI_RENTAL, float(M), b=float(b))
 
     @property
-    def sense(self) -> str:
-        """'min' for cost problems, 'max' for pricing."""
-        return "max" if self.kind is ProblemKind.PRICING else "min"
-
-    @property
     def critical_fractile(self) -> float:
         if self.kind is not ProblemKind.NEWSVENDOR:
             raise ValueError("critical fractile is a newsvendor quantity")

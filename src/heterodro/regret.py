@@ -78,6 +78,10 @@ class FamilyMismatch(ValueError):
     pass
 
 
+class MissingParameter(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class AdversarialPair:
     """A named (mu, nu_1..nu_n) construction with its analytic target.
@@ -602,11 +606,11 @@ def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     """Build a named adversarial construction; see _FAMILIES for the list.
 
     Raises UnknownName, ValueError for an unknown or a non-finite numeric
-    parameter, EpsTooLarge when eps violates the construction's validity
-    condition (outside it the measures would not be measures or the target
-    formula would not hold), or FamilyMismatch when the built pair's eps,
-    kind, M, c_u, c_o or b differs from a given one (a family ignores or
-    fixes some of them).
+    parameter (MissingParameter for a missing one), EpsTooLarge when eps
+    violates the construction's validity condition (outside it the measures
+    would not be measures or the target formula would not hold), or
+    FamilyMismatch when the built pair's eps, kind, M, c_u, c_o or b differs
+    from a given one (a family ignores or fixes some of them).
     """
     if name not in _FAMILIES:
         raise UnknownName(f"unknown adversarial family {name!r}")
@@ -618,7 +622,7 @@ def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     try:
         pair = _FAMILIES[name](dict(params))
     except KeyError as exc:
-        raise ValueError(f"family {name!r} requires parameter {exc.args[0]!r}") from exc
+        raise MissingParameter(f"family {name!r} requires parameter {exc.args[0]!r}") from exc
     built = {"eps": pair.eps, "kind": pair.kind}
     built.update((key, getattr(pair.problem, key)) for key in ("M", "c_u", "c_o", "b"))
     for key, value in params.items():
@@ -791,6 +795,14 @@ def _ball_windows(
     return order, lo, hi
 
 
+def _window_bound(V: np.ndarray, a_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row p's largest score V[p, a_idx[q]] over q in [lo[p], hi[p]), from a
+    count of each action over the positions (V >= 0; p's window holds p)."""
+    seen = np.zeros((len(a_idx) + 1, V.shape[1]), np.intp)
+    np.cumsum(a_idx[:, None] == np.arange(V.shape[1]), axis=0, out=seen[1:])
+    return np.where(seen[hi] > seen[lo], V, 0.0).max(axis=1)
+
+
 def dro_regret_scan(
     p: ProblemSpec,
     pol: PolicySpec,
@@ -803,13 +815,15 @@ def dro_regret_scan(
     regret; paired with the analytic upper bound it forms a sandwich.
 
     Only pairs that can lie in the ball are scored: the measures are sorted
-    on one location (:func:`_ball_windows`) and walked in blocks of at most
+    on one location (:func:`_ball_windows`) and cut into blocks of at most
     ``_SCAN_ROWS`` sorted rows, each scored against the union of its rows'
-    windows, with rows x window at most ``_SCAN_ENTRIES`` (or one row).  The
-    estimate is the largest regret of a pair that the block distance puts
-    in the ball and, for TV and W1, :func:`in_ball` certifies, and the
-    witness the first such pair in (mu index, nu index) order, as a
-    row-major scan of all pairs finds it.
+    windows, with rows x window at most ``_SCAN_ENTRIES`` (or one row).
+    Blocks are scored from the largest row bound (:func:`_window_bound`)
+    down, until no row left can beat the best.  The estimate is the largest
+    regret of a pair that the block distance puts in the ball and, for TV
+    and W1, :func:`in_ball` certifies, and the witness the first such pair
+    in (mu index, nu index) order, as a row-major scan of all pairs finds
+    it, whichever order the blocks are scored in.
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -837,7 +851,6 @@ def dro_regret_scan(
     # V[i, a]: regret of action distinct[a] under measure i; the pair
     # (mu_i, nu_j) scores V[i, a_idx[j]].
     V = np.abs(opts[:, None] - GA)
-    row_max = V[:, np.unique(a_idx)].max(axis=1)
     cols = location_columns(kind, W)
     # Where every row agrees, or a W1 gap is 0, each term is +0.0, which
     # leaves D bit for bit: drop those locations (if none is left, keep one).
@@ -846,12 +859,21 @@ def dro_regret_scan(
     cols, gaps = cols[live], gaps[live]
     # From here on rows and columns are sorted positions; order maps back.
     order, lo, hi = _ball_windows(kind, cols, gaps, eps)
-    cols, a_idx, row_max = cols[:, order], a_idx[order], row_max[order]
+    cols, a_idx, V = cols[:, order], a_idx[order], V[order]
+    bound = _window_bound(V, a_idx, lo, hi)
+    starts = [0]
+    while starts[-1] < n:
+        ends = hi[starts[-1] : starts[-1] + _SCAN_ROWS]
+        sizes = np.arange(1, len(ends) + 1) * (ends - lo[starts[-1]])
+        starts.append(starts[-1] + max(1, int(np.searchsorted(sizes, _SCAN_ENTRIES, "right"))))
+    block_bound = np.maximum.reduceat(bound, starts[:-1])
 
     # Pairs outside the ball score <= 0 (eps + BALL_SLACK - D has the exact
     # sign), and best >= 0.  A pair moves best_pair if it scores above best,
-    # or ties it and comes before it, so rows whose scores are all below
-    # best, or at most tie it after best_pair's mu, are skipped.  D may
+    # or ties it and comes before it, so rows whose bound is below best, or
+    # at most ties it after best_pair's mu, are skipped.  So each block only
+    # merges its best pair into (best, best_pair) by a rule no block order
+    # changes, and blocks whose bound is below best hold no such pair.  D may
     # differ from the scalar distance in the last bit, so a pair on the
     # ball's edge can pass here and fail in_ball: each new best is certified,
     # except for K, whose D on grid rows is kolmogorov's bit for bit (both
@@ -861,21 +883,19 @@ def dro_regret_scan(
 
     best = 0.0
     best_pair: tuple[int, int] | None = None
-    start = 0
-    while start < n:
-        ends = hi[start : start + _SCAN_ROWS]
-        sizes = np.arange(1, len(ends) + 1) * (ends - lo[start])
-        block = slice(start, start + max(1, int(np.searchsorted(sizes, _SCAN_ENTRIES, "right"))))
-        start = block.stop
+    for b in np.argsort(-block_bound, kind="stable").tolist():
+        if block_bound[b] < best:
+            break
+        block = slice(starts[b], starts[b + 1])
         last_mu = -1 if best_pair is None else best_pair[0]
-        tied = (row_max[block] == best) & (order[block] <= last_mu)
-        rows = block.start + np.flatnonzero((row_max[block] > best) | tied)
+        tied = (bound[block] == best) & (order[block] <= last_mu)
+        rows = block.start + np.flatnonzero((bound[block] > best) | tied)
         if not rows.size:
             continue
         window = slice(lo[rows[0]], hi[rows[-1]])
         D = distance_block(kind, cols[:, rows], cols[:, window], gaps)
         R = np.copysign(
-            V[order[rows]][:, a_idx[window]], np.subtract(eps + BALL_SLACK, D, out=D), out=D
+            V[rows][:, a_idx[window]], np.subtract(eps + BALL_SLACK, D, out=D), out=D
         )
         while True:
             tops = R.max(axis=1)

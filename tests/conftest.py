@@ -36,6 +36,11 @@ def random_measure(rng, upper=1.0, max_atoms=5):
     return make_finite_measure(pts.tolist(), wts.tolist(), upper)
 
 
+def sense(p):
+    """'min' for cost problems, 'max' for pricing."""
+    return "max" if p.kind is ProblemKind.PRICING else "min"
+
+
 def cdf(m, t):
     """P(xi <= t); right-continuous step function with cdf(m, upper) == 1."""
     k = bisect_right(m.support, t)

@@ -48,6 +48,7 @@ from conftest import (
     mean,
     mix,
     random_measure,
+    sense,
 )
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
@@ -221,7 +222,7 @@ def test_criterion_10_oracle_brute_force():
                 m = random_measure(rng, upper=p.M, max_atoms=4)
                 values = expected_objective_grid(p, xs, m)
                 best = opt_value(p, m)
-                if p.sense == "min":
+                if sense(p) == "min":
                     assert best <= values.min() + 1e-9
                 else:
                     assert best >= values.max() - 1e-9

@@ -308,6 +308,16 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mode", ["adversarial-named", "monte-carlo"])
+    def test_family_missing_a_parameter_exits_2(self, capsys, mode):
+        # Missing for every eps alike: one error, not a skipped row per eps.
+        argv = ["rates", "--problem", "ski:3,10", "--kind", "tv", "--eps-grid", "0.01,0.02",
+                "--family", "hetero_helps", "--mode", mode, "--trials", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family 'hetero_helps' requires parameter 'k'\n"
+
     def test_family_given_its_own_values_runs(self, capsys):
         argv = ["adversarial", "--name", "hetero_helps", "--kind", "tv", "--params", "k=1,eps=1"]
         assert main(argv) == 0

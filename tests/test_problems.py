@@ -20,7 +20,7 @@ from heterodro.problems import (
 )
 from heterodro.regret import ScanGrid, ski_indifference_measure
 
-from conftest import cdf, enumerate_grid_measures, random_measure, tail
+from conftest import cdf, enumerate_grid_measures, random_measure, sense, tail
 
 NV = ProblemSpec.newsvendor(1, 1, 1)
 PR = ProblemSpec.pricing(1)
@@ -452,7 +452,7 @@ class TestOracleBruteForce:
             m = random_measure(rng, upper=problem.M, max_atoms=5)
             values = expected_objective_grid(problem, xs, m)
             best = opt_value(problem, m)
-            if problem.sense == "min":
+            if sense(problem) == "min":
                 assert best <= values.min() + 1e-9
             else:
                 assert best >= values.max() - 1e-9

@@ -38,6 +38,7 @@ from heterodro.regret import (
     EpsTooLarge,
     GridTooLarge,
     InvalidBRange,
+    MissingParameter,
     Z95,
     RegretReport,
     ScanGrid,
@@ -474,7 +475,7 @@ class TestAdversarialInstances:
             adversarial_instance("ski_w_saa_fail", dict(b=2, M=10, eps=0.6))
 
     def test_missing_parameter(self):
-        with pytest.raises(ValueError, match="requires parameter"):
+        with pytest.raises(MissingParameter, match="requires parameter"):
             adversarial_instance("pr_k_pair", dict())
 
     def test_ball_invariant_enforced(self):
@@ -876,6 +877,51 @@ class TestScan:
         at[order] = np.arange(n)
         mu, nu = np.nonzero(D <= eps + BALL_SLACK)
         assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scan_cases(locations=(1, 7), resolution=(1, 12)))
+    def test_window_bound_covers_every_pair_in_the_ball(self, case):
+        # Every pair that distance_block puts in the ball scores at most its
+        # row's bound, and the bound is the largest score in the row's window.
+        problem, pol, kind, grid, eps, _ = case
+        seen = {}
+
+        def spy(name):
+            def call(*args):
+                seen[name] = args, real(*args)
+                return seen[name][1]
+
+            real = getattr(regret, name)
+            return mock.patch.object(regret, name, call)
+
+        with spy("_ball_windows"), spy("_window_bound"):
+            dro_regret_scan(problem, pol, kind, eps, grid)
+        (_, cols, gaps, _), (order, lo, hi) = seen["_ball_windows"]
+        (V, a_idx, _, _), bound = seen["_window_bound"]
+        D = distance_block(kind, cols[:, order], cols[:, order], gaps)
+        mu, nu = np.nonzero(D <= eps + BALL_SLACK)
+        assert (V[mu, a_idx[nu]] <= bound[mu]).all()
+        for p in range(len(bound)):
+            assert bound[p] == V[p, a_idx[lo[p] : hi[p]]].max()
+
+    def test_bound_prunes_the_default_grid(self, monkeypatch):
+        # ski:3,10, Kolmogorov, eps 0.05, SAA: 600 measures.  Skipping only
+        # rows whose regret over every action is below the best scored
+        # 95 160 entries in 10 blocks; the window bound, blocks taken from
+        # the largest bound down, scores 16 892 in 4.
+        from heterodro.cli import default_scan_grid
+
+        entries = []
+
+        def recording(kind, a, b, gaps):
+            entries.append(a.shape[1] * b.shape[1])
+            return distance_block(kind, a, b, gaps)
+
+        monkeypatch.setattr(regret, "distance_block", recording)
+        p = ProblemSpec.ski_rental(3, 10)
+        rep = dro_regret_scan(p, SAA, K, 0.05, default_scan_grid(p, K, SAA, 0.05))
+        assert rep.estimate == pytest.approx(0.15, abs=1e-9)
+        assert 0 < sum(entries) <= 30_000
 
     @pytest.mark.parametrize("kind", [K, TV, W])
     def test_windows_hold_pairs_whose_distance_rounds_down(self, kind):
