@@ -20,13 +20,11 @@ import numpy as np
 
 from .measures import from_text, to_text
 from .metrics import DistanceKind, distance
-from .policies import PolicyKind, PolicySpec, recommended_parameter
+from .policies import EpsTooLarge, PolicyKind, PolicySpec, recommended_parameter
 from .problems import ProblemKind, ProblemSpec, expected_objective, oracle
 from .regret import (
     _FAMILY_PARAMS,
     AdversarialPair,
-    FamilyMismatch,
-    MissingParameter,
     RegretReport,
     ScanGrid,
     adversarial_instance,
@@ -129,6 +127,8 @@ class ExperimentConfig:
         for key in self.family_params:
             if key not in _FAMILY_PARAMS:
                 raise ConfigInvalid(f"unknown parameter {key!r}")
+        if self.mode == "dro-scan" and (self.family is not None or self.family_params):
+            raise ConfigInvalid("dro-scan mode scans a grid and takes no --family or --params")
         # The witness inherits these from the problem; the bounds and the
         # CSV always use the problem's, so a differing value is refused.
         for key in ("M", "c_u", "c_o", "b"):
@@ -206,9 +206,9 @@ def _named_report(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | None, str]]:
-    """One report per eps (ordered); eps values outside a construction's
-    validity range yield (eps, None, warning) instead of aborting the sweep.
-    A family error that holds for every eps (FamilyMismatch, MissingParameter) is raised."""
+    """One report per eps (ordered).  An eps outside the validity range of
+    the policy, the construction or the bounds (EpsTooLarge) yields
+    (eps, None, warning); every other error aborts the sweep."""
     results: list[tuple[float, RegretReport | None, str]] = []
     for eps in cfg.eps_grid:
         try:
@@ -221,6 +221,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                 pair = adversarial_instance(
                     name, _family_params(cfg.problem, cfg.kind, eps, cfg.family_params)
                 )
+                if pair.problem != cfg.problem:
+                    raise ConfigInvalid(
+                        f"family {name!r} builds {pair.problem.to_text()}, "
+                        f"not the given {cfg.problem.to_text()}"
+                    )
                 if cfg.mode == "adversarial-named":
                     eval_pol = None if pair.cited_policy is None else pol
                     bounds = (cfg.problem, cfg.kind, pol, eps)
@@ -236,9 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                         report, analytic_lower=lo, analytic_upper=hi, witness=pair
                     )
             results.append((eps, report, ""))
-        except (FamilyMismatch, MissingParameter):
-            raise
-        except ValueError as exc:
+        except EpsTooLarge as exc:
             results.append((eps, None, f"skipped: {exc}"))
     return results
 
@@ -499,11 +502,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = RegretReport(
             estimate=estimate, analytic_lower=lo, analytic_upper=hi, seed=args.seed
         )
-        row = make_row("regret", p, kind, pol.to_text(), args.eps, report)
-        _emit(rows_to_csv([row]), args.out)
-        return 3 if args.strict and _violation("regret", report) else 0
+        mode, pol_text, results = "regret", pol.to_text(), [(args.eps, report, "")]
 
-    if cmd == "dro-scan":
+    elif cmd == "dro-scan":
         _check_finite("--eps", args.eps)
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
@@ -516,11 +517,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         res = res if args.weight_res is None else args.weight_res
         grid = ScanGrid(locs, res, args.max_atoms, args.max_pairs)
         report = dro_regret_scan(p, pol, kind, args.eps, grid)
-        row = make_row("dro-scan", p, kind, pol.to_text(), args.eps, report)
-        _emit(rows_to_csv([row]), args.out)
-        return 3 if args.strict and _violation("dro-scan", report) else 0
+        mode, pol_text, results = "dro-scan", pol.to_text(), [(args.eps, report, "")]
 
-    if cmd == "adversarial":
+    elif cmd == "adversarial":
         params = _parse_params(args.params)
         if args.kind:
             params["kind"] = DistanceKind.from_text(args.kind)
@@ -528,12 +527,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         pol = PolicySpec.from_text(args.policy) if args.policy else pair.cited_policy
         bounds = (pair.problem, pair.kind, pol, pair.eps) if pol is not None else None
         report = _named_report(pair, pol, bounds, args.seed)
+        mode, p, kind = "adversarial-named", pair.problem, pair.kind
         pol_text = pol.to_text() if pol is not None else "minimax"
-        row = make_row("adversarial-named", pair.problem, pair.kind, pol_text, pair.eps, report)
-        _emit(rows_to_csv([row]), args.out)
-        return 3 if args.strict and _violation("adversarial-named", report) else 0
+        results = [(pair.eps, report, "")]
 
-    if cmd == "rates":
+    elif cmd == "rates":
         p = ProblemSpec.from_text(args.problem)
         kind = DistanceKind.from_text(args.kind)
         pol = None if args.policy == "recommended" else PolicySpec.from_text(args.policy)
@@ -557,19 +555,16 @@ def _dispatch(args: argparse.Namespace) -> int:
             fit_note = f"slope={fit.slope:.12g};r2={fit.r_squared:.12g}"
         except (NoPositivePoints, DegeneratePoints) as exc:
             fit_note = f"rate-fit failed: {exc}"
-        rows = []
-        violated = False
-        for i, (eps, report, note) in enumerate(results):
-            pol_text = args.policy if pol is None else pol.to_text()
-            slope_note = note
-            if i == len(results) - 1:
-                slope_note = f"{note}; {fit_note}" if note else fit_note
-            rows.append(make_row(cfg.mode, p, kind, pol_text, eps, report, slope_note))
-            violated = violated or _violation(cfg.mode, report)
-        _emit(rows_to_csv(rows), args.out)
-        return 3 if args.strict and violated else 0
+        eps, report, note = results[-1]
+        results[-1] = (eps, report, f"{note}; {fit_note}" if note else fit_note)
+        mode, pol_text = cfg.mode, args.policy if pol is None else pol.to_text()
 
-    raise ConfigInvalid(f"unknown command {cmd!r}")
+    else:
+        raise ConfigInvalid(f"unknown command {cmd!r}")
+
+    rows = [make_row(mode, p, kind, pol_text, eps, r, note) for eps, r, note in results]
+    _emit(rows_to_csv(rows), args.out)
+    return 3 if args.strict and any(_violation(mode, r) for _, r, _ in results) else 0
 
 
 def entrypoint() -> None:

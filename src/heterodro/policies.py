@@ -23,6 +23,11 @@ class EpsNonPositive(ValueError):
     pass
 
 
+class EpsTooLarge(ValueError):
+    """eps lies outside the range where a policy, a construction or a bound
+    is defined; a `rates` sweep skips that eps."""
+
+
 class PolicyKind(enum.Enum):
     SAA = "saa"
     DELTA_SAA = "delta_saa"
@@ -103,8 +108,9 @@ def recommended_parameter(p: ProblemSpec, kind: DistanceKind, eps: float) -> Pol
 
     pricing + Wasserstein deflates by sqrt(M*eps); ski rental + Wasserstein
     inflates by sqrt(b*eps); ski rental + Kolmogorov/TV caps the rental at
-    b*ln(1/eps) (natural log, forced by the e^{-C/b} tail bound).  Everywhere
-    else SAA is already rate-optimal.
+    b*ln(1/eps) (natural log, forced by the e^{-C/b} tail bound), so only
+    where that cap is finite and positive (EpsTooLarge otherwise).
+    Everywhere else SAA is already rate-optimal.
     """
     if eps <= 0.0:
         raise EpsNonPositive(f"heterogeneity radius must be > 0, got {eps}")
@@ -113,5 +119,8 @@ def recommended_parameter(p: ProblemSpec, kind: DistanceKind, eps: float) -> Pol
     if p.kind is ProblemKind.SKI_RENTAL:
         if kind is DistanceKind.WASSERSTEIN:
             return PolicySpec.delta_saa(math.sqrt(p.b * eps))
-        return PolicySpec.capped(p.b * math.log(1.0 / eps))
+        cap = p.b * math.log(1.0 / eps)
+        if not 0.0 < cap < math.inf:
+            raise EpsTooLarge(f"the cap b*ln(1/eps) needs eps < 1 and 1/eps finite, got {eps}")
+        return PolicySpec.capped(cap)
     return PolicySpec.saa()

@@ -224,10 +224,10 @@ def oracle_rows(p: ProblemSpec, W: np.ndarray, locs: np.ndarray) -> np.ndarray:
     off its atoms).
 
     Each row repeats the scalar arithmetic over its atoms: a 0.0 weight
-    leaves a running sum unchanged, and ``np.cumsum`` adds in the same order
-    as ``accumulate``.  Ski-rental rows with more than one candidate under
-    the screen's rounding cut go to :func:`oracle` itself, whose exact
-    costs break their ties.
+    leaves a running sum unchanged, and ``accumulate`` (``np.cumsum``) runs
+    along a row in the scalar loop's order.  Ski-rental rows with more than
+    one candidate under the screen's rounding cut go to :func:`oracle`
+    itself, whose exact costs break their ties.
     """
     n, L = W.shape
     held = W > 0.0
@@ -238,28 +238,15 @@ def oracle_rows(p: ProblemSpec, W: np.ndarray, locs: np.ndarray) -> np.ndarray:
         last = L - 1 - np.argmax(held[:, ::-1], axis=1)
         return locs[np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)]
     if p.kind is ProblemKind.PRICING:
-        best_col = np.zeros(n, dtype=np.intp)
-        best_rev = np.full(n, -math.inf)
-        remaining = np.ones(n)
-        for j in range(L):
-            rev = locs[j] * remaining
-            better = held[:, j] & (rev > best_rev)
-            best_rev[better] = rev[better]
-            best_col[better] = j
-            remaining -= W[:, j]
-        return locs[best_col]
+        # The mass left before each column is 1 - w_0 - ... - w_{j-1}.
+        remaining = np.subtract.accumulate(np.hstack((np.ones((n, 1)), W[:, :-1])), axis=1)
+        return locs[np.argmax(np.where(held, locs * remaining, -math.inf), axis=1)]
     b = p.b
-    moment = np.zeros(n)
-    mass = W[:, 0].copy() if locs[0] <= 0.0 else np.zeros(n)
     # Column 0 screens x = 0, column j + 1 the atom at locs[j] (inf if none).
-    screened = np.full((n, L + 1), math.inf)
-    screened[:, 0] = b * (1.0 - mass)
-    for j in range(L):
-        s = locs[j]
-        if s > 0.0:
-            moment += W[:, j] * s
-            mass += W[:, j]
-            screened[held[:, j], j + 1] = (moment + (b + s) * (1.0 - mass))[held[:, j]]
+    mass = np.cumsum(W, axis=1)
+    atoms = np.cumsum(W * locs, axis=1) + (b + locs) * (1.0 - mass)
+    start = b * (1.0 - np.where(locs[0] <= 0.0, W[:, :1], 0.0))
+    screened = np.hstack((start, np.where(held & (locs > 0.0), atoms, math.inf)))
     cut = screened.min(axis=1) + 8.0 * (held.sum(axis=1) + 9) * 2.0**-53 * (2.0 * p.M + b)
     survivors = screened <= cut[:, None]
     actions = np.concatenate(([0.0], locs))[np.argmax(survivors, axis=1)]

@@ -21,7 +21,14 @@ import numpy as np
 from .approx import saa_diagnostic
 from .measures import MERGE_TOL, FiniteMeasure, _from_canonical, _renormalized, make_finite_measure
 from .metrics import BALL_SLACK, DistanceKind, distance_block, in_ball, location_columns, weights_on
-from .policies import PolicyKind, PolicySpec, apply_policy, policy_action, recommended_parameter
+from .policies import (
+    EpsTooLarge,
+    PolicyKind,
+    PolicySpec,
+    apply_policy,
+    policy_action,
+    recommended_parameter,
+)
 from .problems import (
     ProblemKind,
     ProblemSpec,
@@ -55,10 +62,6 @@ _COLUMN_BLOCK = 4096
 
 
 class UnknownName(ValueError):
-    pass
-
-
-class EpsTooLarge(ValueError):
     pass
 
 

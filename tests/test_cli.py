@@ -298,8 +298,15 @@ class TestCommands:
              "family 'pr_w_lower' builds kind=wasserstein, not the given kind=kolmogorov"),
             (["adversarial", "--name", "hetero_helps", "--params", "k=1,eps=0.3"],
              "family 'hetero_helps' builds eps=1.0, not the given eps=0.3"),
+            (["rates", "--problem", "pricing:1", "--kind", "tv", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,0.04", "--family", "nv_tv_pair"],
+             "family 'nv_tv_pair' builds newsvendor:1.0,1.0,1.0, not the given pricing:1.0"),
+            (["rates", "--problem", "pricing:10", "--kind", "k", "--eps-grid", "0.01,0.02,0.04",
+              "--family", "ski_k_saa_fail", "--mode", "monte-carlo", "--trials", "2"],
+             "family 'ski_k_saa_fail' builds ski:3.0,10.0, not the given pricing:10.0"),
         ],
-        ids=["rates-problem", "rates-kind", "rates-mc-eps", "adversarial-kind", "adversarial-eps"],
+        ids=["rates-problem", "rates-kind", "rates-mc-eps", "adversarial-kind", "adversarial-eps",
+             "rates-problem-kind", "rates-mc-problem-kind"],
     )
     def test_family_building_another_instance_exits_2(self, capsys, argv, message):
         # never a row for an instance other than the one asked for
@@ -317,6 +324,55 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: family 'hetero_helps' requires parameter 'k'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05",
+              "--family", "nosuch"],
+             "unknown adversarial family 'nosuch'"),
+            *[(["rates", "--problem", "pricing:1", "--kind", "k", "--policy", "cap:2",
+                "--eps-grid", "0.01,0.02,0.05", "--trials", "2", "--n", "10", "--mode", mode],
+               "the capped rental policy is only defined for ski rental")
+              for mode in ("adversarial-named", "monte-carlo", "dro-scan")],
+            (["rates", "--problem", "pricing:1", "--kind", "w", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,0.04", "--family", "ski_w_saa_fail"],
+             "need M > 2b, got M=1.0, b=2.0"),
+            (["rates", "--problem", "ski:3,10", "--kind", "w", "--policy", "saa",
+              "--eps-grid", "0.01,0.02,0.04", "--family", "ski_k_lower"],
+             "ski_k_lower: historical measure leaves the wasserstein ball of radius 0.01"),
+            (["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05",
+              "--mode", "dro-scan", "--family", "hetero_helps"],
+             "dro-scan mode scans a grid and takes no --family or --params"),
+            (["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05",
+              "--mode", "dro-scan", "--params", "eta=0.5"],
+             "dro-scan mode scans a grid and takes no --family or --params"),
+        ],
+        ids=["unknown-family", "cap-on-pricing-named", "cap-on-pricing-mc", "cap-on-pricing-scan",
+             "family-needs-larger-M", "family-outside-ball", "scan-with-family",
+             "scan-with-params"],
+    )
+    def test_sweep_error_for_every_eps_exits_2(self, capsys, argv, message):
+        # Only an eps outside a validity range skips a row; an error that
+        # does not depend on eps is the command's error, never a sweep of
+        # skipped rows.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["adversarial-named", "dro-scan"])
+    def test_cap_outside_its_range_skips_rows(self, capsys, mode):
+        # the recommended cap b*ln(1/eps) exists only for eps < 1 and 1/eps finite
+        argv = ["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "5e-324,0.5,1,2",
+                "--mode", mode]
+        assert main(argv) == 0
+        rows = csv_to_rows(capsys.readouterr().out)
+        assert [row["regret_est"] == "" for row in rows] == [True, False, True, True]
+        for row, eps in zip((rows[0], *rows[2:]), ("5e-324", "1.0", "2.0")):
+            assert row["slope_note"].startswith(
+                f"skipped: the cap b*ln(1/eps) needs eps < 1 and 1/eps finite, got {eps}"
+            )
 
     def test_family_given_its_own_values_runs(self, capsys):
         argv = ["adversarial", "--name", "hetero_helps", "--kind", "tv", "--params", "k=1,eps=1"]

@@ -1,10 +1,10 @@
-"""The experiment scripts and the DRO scan print exactly their recorded output.
+"""The experiment scripts and the CLI print exactly their recorded output.
 
 ``tests/data/<script>.stdout`` holds each script's stdout with default
-arguments, and ``tests/data/dro_scan.stdout`` the scan commands below; a
-change that moves any number there must re-record the file and say which
-numbers moved and why.
-"""
+arguments, ``tests/data/dro_scan.stdout`` the scan commands below and
+``tests/data/cli_rows.stdout`` the row commands below; a change that moves
+any number there must re-record the file and say which numbers moved and
+why."""
 
 import contextlib
 import io
@@ -53,3 +53,47 @@ def test_dro_scan_stdout_matches_recorded():
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
     assert out.getvalue().encode() == (ROOT / "tests" / "data" / "dro_scan.stdout").read_bytes()
+
+
+# The row commands: regret with and without --kind/--eps, adversarial for
+# every family, rates in each mode, a sweep with an eps outside the
+# construction's validity range (a skipped row) and a --strict run that
+# exits 3.  Each block is headed by its command line and its exit code.
+ROW_COMMANDS = [
+    ["regret", "--problem", "pricing:1", "--policy", "saa", "--mu", "0.9:1.0@1.0",
+     "--nu", "0.95:1.0@1.0"],
+    ["regret", "--problem", "ski:3,10", "--policy", "cap:4", "--mu", "1:0.5,10:0.5@10",
+     "--nu", "1:0.6,10:0.4@10", "--kind", "tv", "--eps", "0.1"],
+    ["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1,c_u=1,c_o=2,M=1"],
+    ["adversarial", "--name", "pr_k_pair", "--params", "eps=0.05"],
+    ["adversarial", "--name", "pr_w_saa_fail", "--params", "eps=0.02,eta=0.01"],
+    ["adversarial", "--name", "pr_w_lower", "--params", "eps=0.04"],
+    ["adversarial", "--name", "ski_k_saa_fail", "--kind", "k", "--params", "M=10,b=3,eps=0.01"],
+    ["adversarial", "--name", "ski_k_lower", "--params", "b=2,M=10,eps=0.1"],
+    ["adversarial", "--name", "ski_w_saa_fail", "--params", "b=2,M=10,eps=0.1"],
+    ["adversarial", "--name", "ski_w_lower", "--policy", "dsaa:0.5",
+     "--params", "b=2,M=10,eps=0.1"],
+    ["adversarial", "--name", "hetero_helps", "--params", "k=2"],
+    ["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05"],
+    ["rates", "--problem", "newsvendor:1,1,1", "--kind", "tv", "--policy", "saa",
+     "--eps-grid", "0.1,0.2,0.7"],
+    ["rates", "--problem", "pricing:1", "--kind", "w", "--eps-grid", "0.01,0.02,0.04",
+     "--mode", "monte-carlo", "--trials", "5", "--n", "200"],
+    ["rates", "--problem", "ski:2,10", "--kind", "w", "--policy", "saa",
+     "--eps-grid", "0.01,0.02,0.04", "--mode", "monte-carlo", "--trials", "5", "--n", "200",
+     "--strict"],
+    ["rates", "--problem", "newsvendor:1,2,1", "--kind", "w", "--eps-grid", "0.01,0.02,0.05",
+     "--mode", "dro-scan", "--strict"],
+    ["regret", "--problem", "pricing:1", "--policy", "saa", "--mu", "0.5:1.0@1.0",
+     "--nu", "0.5:1.0@1.0", "--kind", "wasserstein", "--eps", "0.01", "--strict"],
+]
+
+
+def test_row_commands_stdout_matches_recorded():
+    out = io.StringIO()
+    for argv in ROW_COMMANDS:
+        block = io.StringIO()
+        with contextlib.redirect_stdout(block):
+            code = main(argv)
+        out.write("$ hetero-dro " + " ".join(argv) + f"\n# exit {code}\n" + block.getvalue())
+    assert out.getvalue().encode() == (ROOT / "tests" / "data" / "cli_rows.stdout").read_bytes()
