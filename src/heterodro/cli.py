@@ -192,14 +192,17 @@ def default_scan_grid(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec, eps: 
 def _named_report(
     pair: AdversarialPair, pol: PolicySpec | None, bounds: tuple | None, seed: int
 ) -> RegretReport:
-    """The value ``pair`` certifies under ``pol``, bracketed by its target and
-    by the upper bound of ``bounds_for_policy(*bounds)`` (else the target)."""
+    """The value ``pair`` certifies under ``pol``, bracketed by the upper bound
+    of ``bounds_for_policy(*bounds)`` and by the pair's target: the value of
+    the policy the pair certifies, so an upper bound for that policy alone,
+    and a lower bound for it and, on a minimax family, for every policy."""
     estimate = evaluate_pair(pair, pol)
     _, hi = bounds_for_policy(*bounds) if bounds is not None else (None, None)
+    certified = pol == pair.cited_policy
     return RegretReport(
         estimate=estimate,
-        analytic_lower=pair.target,
-        analytic_upper=hi if hi is not None else pair.target,
+        analytic_lower=pair.target if certified or pair.cited_policy is None else None,
+        analytic_upper=pair.target if hi is None and certified else hi,
         witness=pair,
         seed=seed,
     )

@@ -54,11 +54,10 @@ _SCAN_ROWS = 64
 # per atom, else by bincount(searchsorted) (10-40 ns per column): the
 # measured crossing over 250-40 000 columns and 2-64 atoms (timeit).
 _COLUMNS_PER_COMPARE = 128
-# It maps all columns by one padded table, _COLUMN_BLOCK columns per pass,
-# when the table's n x widest entries (about 2 ns each) cost less than one
-# Python iteration per distinct history (about 5 us, or 2500 entries).
+# It maps all columns at once through one padded table when the table's
+# n x widest entries (about 2 ns each) cost less than one Python iteration
+# per distinct history object (about 5 us, or 2500 entries).
 _ENTRIES_PER_GROUP = 2500
-_COLUMN_BLOCK = 4096
 
 
 class UnknownName(ValueError):
@@ -192,9 +191,11 @@ def monte_carlo_regret(
     or bincounts a searchsorted over cum[:-1].  Many distinct histories
     (up to one per column) share one table instead: each history's
     cum[:-1] padded with +inf, which no uniform reaches, so summing
-    ``row <= u`` gives the same clamped index, then the union index, then
-    one bincount per trial.  The tables hold histories x widest entries;
-    a pass over ``_COLUMN_BLOCK`` columns holds O(_COLUMN_BLOCK) more.
+    ``row <= u`` over all n columns gives the same clamped index, then the
+    union index, then one bincount per trial.  The tables hold histories x
+    widest entries; a trial holds O(n) more.  Histories are grouped by
+    object (one ``np.unique`` of their ids) and their atoms indexed into
+    the union by one ``np.unique`` of all supports.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -203,57 +204,42 @@ def monte_carlo_regret(
         raise ValueError("need at least one historical measure")
     opt_mu = opt_value(p, mu)
 
-    # Group identical historical measures so each group is set up once:
-    # one stable sort of the ids (in C) puts each object's columns in one
-    # contiguous run of `order`, the O(atoms) work is paid once per object,
-    # and objects with equal content share one group.  Each column maps its
-    # own uniform through its group's table, so the order of groups and of
-    # columns changes no count.
+    # One group per distinct object: the inverse of one np.unique of the ids
+    # is each column's group.  Each column maps its own uniform through its
+    # group's table, so neither the grouping nor its order changes a count.
     ids = np.fromiter(map(id, nus), np.uintp, n)
-    order = np.argsort(ids, kind="stable")
-    bounds = (np.flatnonzero(np.diff(ids[order])) + 1).tolist()
-    starts = [0, *bounds]
-    firsts = order[starts].tolist()  # each object's first column
-    group_at: dict[tuple, int] = {}  # content -> group, in first-column order
-    object_group = [0] * len(starts)
-    for j in sorted(range(len(starts)), key=firsts.__getitem__):
-        nu = nus[firsts[j]]
-        if nu.upper != mu.upper:
-            raise ValueError(
-                f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]"
-            )
-        object_group[j] = group_at.setdefault((nu.support, nu.weights), len(group_at))
-    # the group of column order[i]
-    ordered_group = np.repeat(object_group, np.diff([*starts, n]))
-    union = sorted({pt for sup, _ in group_at for pt in sup})
-    union_arr = np.asarray(union)
+    _, firsts, group_of = np.unique(ids, return_index=True, return_inverse=True)
+    objects = [nus[i] for i in firsts.tolist()]
+    off = [i for i in firsts.tolist() if nus[i].upper != mu.upper]
+    if off:
+        nu = nus[min(off)]  # the first off-interval history in column order
+        raise ValueError(f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]")
+    sizes = np.array([len(nu.support) for nu in objects])
+    points = itertools.chain.from_iterable(nu.support for nu in objects)
+    union_arr, point_idx = np.unique(np.fromiter(points, float), return_inverse=True)
     # Row g of the padded tables: group g's cumulative weights and union
     # indices.  cumsum adds along each row in order, so a row's leading
     # entries are the group's own np.cumsum, bit for bit.
-    sizes = np.array([len(sup) for sup, _ in group_at])
     width = int(sizes.max())
     held = np.arange(width) < sizes[:, None]
     cum = np.zeros(held.shape)
-    cum[held] = list(itertools.chain.from_iterable(wts for _, wts in group_at))
+    weights = itertools.chain.from_iterable(nu.weights for nu in objects)
+    cum[held] = np.fromiter(weights, float)
     cum = np.cumsum(cum, axis=1)
     union_idx = np.zeros(held.shape, np.intp)
-    union_idx[held] = np.searchsorted(
-        union_arr, list(itertools.chain.from_iterable(sup for sup, _ in group_at))
-    )
-    table = width * n < _ENTRIES_PER_GROUP * len(group_at)
+    union_idx[held] = point_idx
+    table = width * n < _ENTRIES_PER_GROUP * len(objects)
     if table:
         # one row per boundary; row g of the union table at g * width
         edge_rows = np.ascontiguousarray(np.where(held[:, 1:], cum[:, :-1], np.inf).T)
         union_rows = union_idx.ravel()
-        group_of = np.empty(n, np.intp)
-        group_of[order] = ordered_group
-        drawn = np.empty(n, np.intp)
+        row_start = group_of * width
     else:
-        if len(group_at) == 1:
+        if len(objects) == 1:
             columns = [slice(None)]  # u[:] is a view: no gather
         else:
-            by_group = order[np.argsort(ordered_group, kind="stable")]
-            columns = np.split(by_group, np.cumsum(np.bincount(ordered_group))[:-1])
+            by_group = np.argsort(group_of, kind="stable")
+            columns = np.split(by_group, np.cumsum(np.bincount(group_of))[:-1])
         plans = [
             (edges[: k - 1], idx_map[:k], cols)
             for k, edges, idx_map, cols in zip(sizes.tolist(), cum, union_idx, columns)
@@ -264,16 +250,12 @@ def monte_carlo_regret(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         u = rng.random(n)
         if table:
-            for lo in range(0, n, _COLUMN_BLOCK):
-                block = slice(lo, lo + _COLUMN_BLOCK)
-                g, ub = group_of[block], u[block]
-                pos = g * width
-                for row in edge_rows:
-                    pos += row[g] <= ub
-                drawn[block] = union_rows[pos]
-            counts = np.bincount(drawn, minlength=len(union))
+            pos = row_start.copy()
+            for row in edge_rows:
+                pos += row[group_of] <= u
+            counts = np.bincount(union_rows[pos], minlength=len(union_arr))
         else:
-            counts = np.zeros(len(union), np.int64)
+            counts = np.zeros(len(union_arr), np.int64)
             for edges, idx_map, cols in plans:
                 uc = u[cols]
                 if len(idx_map) * _COLUMNS_PER_COMPARE <= len(uc):
@@ -350,6 +332,12 @@ def _two_point(p0: float, w0: float, p1: float, w1: float, upper: float) -> Fini
     return make_finite_measure([p0, p1], [w0, w1], upper)
 
 
+def _check_apart(lo: float, hi: float, tol: float, atoms: str, eps: float) -> None:
+    """EpsTooLarge unless eps keeps the construction's atoms lo < hi more than tol apart."""
+    if not hi - lo > tol:
+        raise EpsTooLarge(f"need {atoms} more than {tol} apart, got eps={eps}")
+
+
 def _integer_param(params: dict, name: str, default: int | None = None) -> int:
     """An integer-valued family parameter; a fractional value is an error,
     never truncated into a different instance."""
@@ -418,8 +406,10 @@ def _build_pr_w_saa_fail(params: dict) -> AdversarialPair:
         raise ValueError(f"need 0 < eta < M, got eta={eta}")
     if eps <= 0.0:
         raise EpsTooLarge(f"need eps > 0, got {eps}")
+    nu_atom = min(M, M - eta + eps)
+    _check_apart(M - eta, nu_atom, 0.0, "mu's atom M - eta and nu's atom M - eta + eps", eps)
     mu = make_finite_measure([M - eta], [1.0], M)
-    nu = make_finite_measure([min(M, M - eta + eps)], [1.0], M)
+    nu = make_finite_measure([nu_atom], [1.0], M)
     return AdversarialPair(
         name="pr_w_saa_fail",
         problem=ProblemSpec.pricing(M),
@@ -439,6 +429,7 @@ def _build_pr_w_lower(params: dict) -> AdversarialPair:
         raise EpsTooLarge(f"need 0 < eps <= M/4 = {M / 4}, got {eps}")
     w = 2.0 * math.sqrt(eps / M)
     shift = math.sqrt(M * eps) / 2.0
+    _check_apart(M / 2 - shift, M / 2, MERGE_TOL, "mu's atoms M/2 - sqrt(M*eps)/2 and M/2", eps)
     nu = make_finite_measure([M / 2], [1.0], M)
     mu = make_finite_measure([M / 2 - shift, M / 2], [w, 1.0 - w], M)
     return AdversarialPair(
@@ -527,6 +518,7 @@ def _build_ski_w_saa_fail(params: dict) -> AdversarialPair:
         raise ValueError(f"need M > 2b, got M={M}, b={b}")
     if not (0.0 < eps < b / 4.0):
         raise EpsTooLarge(f"need 0 < eps < b/4 = {b / 4}, got {eps}")
+    _check_apart(b / 2, b / 2 + eps, 0.0, "nu's atom b/2 and mu's atom b/2 + eps", eps)
     nu = _two_point(b / 2, 0.75, M, 0.25, M)
     mu = _two_point(b / 2 + eps, 0.75, M, 0.25, M)
     return AdversarialPair(
@@ -553,6 +545,7 @@ def _build_ski_w_lower(params: dict) -> AdversarialPair:
         raise ValueError(f"need M >= 2b, got M={M}")
     s = math.sqrt(b * eps)
     t = math.sqrt(eps / b)
+    _check_apart(b / 2 - s / 2, b / 2 + s / 2, MERGE_TOL, "mu's atoms b/2 -/+ sqrt(b*eps)/2", eps)
     nu = _two_point(b / 2 - s / 2, 0.5, M, 0.5, M)
     mu = make_finite_measure(
         [b / 2 - s / 2, b / 2 + s / 2, M], [0.5 - t, t, 0.5], M

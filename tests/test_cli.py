@@ -374,6 +374,76 @@ class TestCommands:
                 f"skipped: the cap b*ln(1/eps) needs eps < 1 and 1/eps finite, got {eps}"
             )
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("pr_w_lower", "eps=1e-25",
+             "need mu's atoms M/2 - sqrt(M*eps)/2 and M/2 more than 1e-12 apart, got eps=1e-25"),
+            ("pr_w_lower", "eps=1e-30",
+             "need mu's atoms M/2 - sqrt(M*eps)/2 and M/2 more than 1e-12 apart, got eps=1e-30"),
+            ("pr_w_saa_fail", "eps=1e-30",
+             "need mu's atom M - eta and nu's atom M - eta + eps more than 0.0 apart, "
+             "got eps=1e-30"),
+            ("ski_w_saa_fail", "eps=1e-30",
+             "need nu's atom b/2 and mu's atom b/2 + eps more than 0.0 apart, got eps=1e-30"),
+            ("ski_w_lower", "eps=1e-30",
+             "need mu's atoms b/2 -/+ sqrt(b*eps)/2 more than 1e-12 apart, got eps=1e-30"),
+        ],
+    )
+    def test_eps_too_small_to_separate_atoms_exits_2(self, capsys, name, params, message):
+        # Below these radii the construction's atoms merge or coincide, so
+        # the pair is no longer the instance its target describes.
+        assert main(["adversarial", "--name", name, "--params", params, "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["rates", "--problem", "ski:2,10", "--kind", "w", "--policy", "saa"],
+             "need nu's atom b/2 and mu's atom b/2 + eps more than 0.0 apart"),
+            (["rates", "--problem", "pricing:1", "--kind", "w"],
+             "need mu's atoms M/2 - sqrt(M*eps)/2 and M/2 more than 1e-12 apart"),
+        ],
+    )
+    def test_eps_too_small_to_separate_atoms_skips_rows(self, capsys, argv, note):
+        eps_grid = ("1e-32", "1e-31", "1e-30")
+        assert main([*argv, "--eps-grid", ",".join(eps_grid), "--strict"]) == 0
+        rows = csv_to_rows(capsys.readouterr().out)
+        assert [row["regret_est"] for row in rows] == ["", "", ""]
+        for row, eps in zip(rows, eps_grid):
+            assert row["slope_note"].startswith(f"skipped: {note}, got eps={eps}")
+
+    @pytest.mark.parametrize(
+        "argv, brackets",
+        [
+            (["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1", "--policy", "saa"],
+             [("0.2", "0.2", "0.2")]),
+            (["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1", "--policy",
+              "dsaa:0.3"],
+             [("0.14", "", "")]),
+            (["rates", "--problem", "pricing:1", "--kind", "w", "--policy", "dsaa:-0.1",
+              "--eps-grid", "0.01,0.02,0.05", "--family", "pr_w_saa_fail"],
+             [("0.099", "", "0.4"), ("0.099", "", ""), ("0.099", "", "")]),
+            (["adversarial", "--name", "ski_w_lower", "--params", "b=2,M=10,eps=0.1"],
+             [("0.111803398875", "0.111803398875", "0.111803398875")]),
+            (["adversarial", "--name", "ski_w_lower", "--params", "b=2,M=10,eps=0.1",
+              "--policy", "dsaa:0.5"],
+             [("0.12639320225", "0.111803398875", "")]),
+        ],
+        ids=["cited", "nv-other-policy", "pr-w-saa-fail-other-policy", "minimax",
+             "minimax-other-policy"],
+    )
+    def test_target_brackets_only_the_policy_it_holds_for(self, capsys, argv, brackets):
+        # A family's target is the value of the policy it certifies: an upper
+        # bound for that policy alone, and a lower bound for it and, on a
+        # two-point minimax family, for every policy.
+        assert main([*argv, "--strict"]) == 0
+        rows = csv_to_rows(capsys.readouterr().out)
+        got = [(row["regret_est"], row["analytic_lo"], row["analytic_hi"]) for row in rows]
+        assert got == brackets
+
     def test_family_given_its_own_values_runs(self, capsys):
         argv = ["adversarial", "--name", "hetero_helps", "--kind", "tv", "--params", "k=1,eps=1"]
         assert main(argv) == 0

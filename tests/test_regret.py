@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import types
@@ -104,8 +105,10 @@ class TestExactRegret:
 
 def reference_monte_carlo_regret(p, pol, mu, nus, trials, seed):
     """Monte-Carlo regret with the columns grouped by a per-element dict of
-    ids, then merged by content: the reference for the grouping in
-    ``monte_carlo_regret``.  Sampling and RNG streams are the same."""
+    ids, then merged by content, each group mapped by its own searchsorted:
+    the reference for ``monte_carlo_regret``, which groups by object with
+    one ``np.unique`` and counts through shared tables.  Sampling and RNG
+    streams are the same."""
     n = len(nus)
     opt_mu = opt_value(p, mu)
     columns_of_id = {}
@@ -179,13 +182,12 @@ def mc_histories(draw):
 
 
 # Settings of monte_carlo_regret's counting, each forcing one regime; the
-# last keeps the module's own switches.  A block of 7 columns makes the
-# table pass cross block boundaries.
+# last keeps the module's own switches.
 COUNTING_REGIMES = {
     "loop-compare": dict(_ENTRIES_PER_GROUP=0, _COLUMNS_PER_COMPARE=0),
     "loop-search": dict(_ENTRIES_PER_GROUP=0, _COLUMNS_PER_COMPARE=10**9),
-    "table": dict(_ENTRIES_PER_GROUP=10**9, _COLUMN_BLOCK=7),
-    "default": dict(_COLUMN_BLOCK=regret._COLUMN_BLOCK),
+    "table": dict(_ENTRIES_PER_GROUP=10**9),
+    "default": dict(_ENTRIES_PER_GROUP=regret._ENTRIES_PER_GROUP),
 }
 
 
@@ -279,8 +281,9 @@ class TestMonteCarlo:
         assert a == b
 
     def test_report_independent_of_history_objects(self, rng):
-        # Setup groups histories by object and then by content; the report
-        # depends only on the contents, in column order.
+        # Setup groups histories by object, so equal-content copies form
+        # groups of their own; the report depends only on the contents, in
+        # column order.
         p = ProblemSpec.ski_rental(60, 100)
         pts = np.sort(rng.choice(np.arange(1, 101), size=40, replace=False)).astype(float)
 
@@ -394,6 +397,43 @@ class TestMonteCarlo:
         p = ProblemSpec.ski_rental(3, 10)
         with pytest.raises(ValueError, match="historical measure on"):
             monte_carlo_regret(p, SAA, delta(4, 10), [delta(4, 10), delta(4, 5)], 3, 1)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_interval_error_names_first_off_interval_column(self, order):
+        # Groups are ordered by object id, not by column; the error still
+        # names the history of the first off-interval column.
+        p = ProblemSpec.ski_rental(3, 10)
+        off = [delta(4, upper) for upper in (5, 6, 7, 8)]
+        nus = [delta(4, 10)] * 3 + [off[i] for i in order] * 2
+        first = off[order[0]].upper
+        with pytest.raises(ValueError, match=rf"historical measure on \[0, {first}\]"):
+            monte_carlo_regret(p, SAA, delta(4, 10), nus, 3, 1)
+
+    @pytest.mark.parametrize(
+        "problem, pol",
+        [
+            (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
+            (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
+            (ProblemSpec.ski_rental(3.0, 10.0), SAA),
+            (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
+        ],
+    )
+    def test_signed_zero_atoms_match_reference(self, problem, pol):
+        # Objects put atoms at -0.0 and at 0.0, some with equal content
+        # otherwise: the union holds one zero, whichever sign np.unique
+        # keeps, and every regime matches the reference bit for bit.
+        objects = [
+            make_finite_measure([zero, *pts], wts, 10.0)
+            for zero in (-0.0, 0.0)
+            for pts, wts in (([4.0], [0.5, 0.5]), ([3.0, 7.0], [0.25, 0.25, 0.5]))
+        ]
+        objects.append(make_finite_measure([-0.0], [1.0], 10.0))
+        assert {math.copysign(1.0, m.support[0]) for m in objects} == {-1.0, 1.0}
+        mu = make_finite_measure([0.0, 4.0, 8.0], [0.2, 0.5, 0.3], 10.0)
+        rng = np.random.default_rng(21)
+        for n in (1, 7, 400):
+            nus = [objects[i] for i in rng.integers(0, len(objects), n)]
+            assert_matches_reference(problem, pol, mu, nus, 4, n)
 
 
 class TestExhaustiveTwoSample:
