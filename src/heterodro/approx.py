@@ -5,25 +5,18 @@ governed by how well g(x, .) can be approximated inside the distance's
 maximal generator: bounded-variation functions for Kolmogorov, 1-Lipschitz
 for Wasserstein, bounded-span for total variation.  This module exposes the
 closed-form total variation / Lipschitz constant / span of each objective,
-the resulting finite-or-infinite SAA coefficient, and the
-Bernstein-polynomial machinery used for objectives that are only Hoelder
-continuous.
+and the resulting finite-or-infinite SAA coefficient.  It needs no
+numerical library: the Bernstein-polynomial checks for objectives that are
+only Hoelder continuous live with the tests that use them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .metrics import DistanceKind
 from .problems import ProblemKind, ProblemSpec
-
-
-class DegreeZero(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,39 +67,3 @@ def saa_diagnostic(p: ProblemSpec, kind: DistanceKind) -> float:
         DistanceKind.TOTAL_VARIATION: "span",
     }[kind]
     return 2.0 * max(getattr(objective_stats(p, x), name) for x in (0.0, p.M))
-
-
-def bernstein_eval(f: Callable[[float], float], q: int, y: float) -> float:
-    """Degree-q Bernstein approximation sum_p f(p/q) * C(q,p) y^p (1-y)^(q-p),
-    evaluated through the binomial pmf for numerical stability."""
-    from scipy import stats  # deferred: scipy.stats costs ~1 s and ~70 MB to import
-
-    if q < 1:
-        raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
-    if not (0.0 <= y <= 1.0):
-        raise ValueError(f"evaluation point {y} outside [0, 1]")
-    ps = np.arange(q + 1)
-    vals = np.asarray([f(pp / q) for pp in ps])
-    return float(vals @ stats.binom.pmf(ps, q, y))
-
-
-def bernstein_error_check(
-    f: Callable[[float], float],
-    omega: Callable[[float], float],
-    q: int,
-    grid_n: int = 10_000,
-) -> bool:
-    """True iff max_y |B_q(f)(y) - f(y)| over a grid is within the
-    (5/4) * omega(1/sqrt(q)) modulus-of-continuity bound (plus 1e-9)."""
-    from scipy import stats  # deferred, as in bernstein_eval
-
-    if q < 1:
-        raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
-    ps = np.arange(q + 1)
-    vals = np.asarray([f(pp / q) for pp in ps])
-    ys = np.linspace(0.0, 1.0, grid_n)
-    pmf = stats.binom.pmf(ps[None, :], q, ys[:, None])
-    approx = pmf @ vals
-    exact = np.asarray([f(y) for y in ys])
-    err = float(np.abs(approx - exact).max())
-    return err <= 1.25 * omega(q ** -0.5) + 1e-9

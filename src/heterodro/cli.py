@@ -371,11 +371,19 @@ def _violation(mode: str, report: RegretReport | None) -> bool:
     return False
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--trials", type=int, default=2000)
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--strict", action="store_true", help="exit 3 on sandwich violation")
+_OPTIONS = {
+    "--seed": dict(type=int, default=42),
+    "--trials": dict(type=int, default=2000),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--strict": dict(action="store_true", help="exit 3 on sandwich violation"),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """The shared options that ``_dispatch`` reads for this subcommand, and
+    no others: an option it would ignore exits 2 at parse time."""
+    for flag in flags:
+        sub.add_argument(flag, **_OPTIONS[flag])
 
 
 @functools.cache
@@ -389,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    _add_common(sp)
+    _add_options(sp, "--out")
 
     sp = subs.add_parser("oracle", help="optimal action and value for a measure")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--measure", required=True)
-    _add_common(sp)
+    _add_options(sp, "--out")
 
     sp = subs.add_parser("regret", help="exact regret of one (mu, nu) instance")
     sp.add_argument("--problem", required=True)
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", required=True)
     sp.add_argument("--kind", default=None)
     sp.add_argument("--eps", type=float, default=None)
-    _add_common(sp)
+    _add_options(sp, "--seed", "--out", "--strict")
 
     sp = subs.add_parser("dro-scan", help="grid scan of the worst-case regret")
     sp.add_argument("--problem", required=True)
@@ -414,19 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight-res", type=int, default=None)
     sp.add_argument("--max-atoms", type=int, default=2)
     sp.add_argument("--max-pairs", type=int, default=10_000_000)
-    _add_common(sp)
+    _add_options(sp, "--out", "--strict")
 
     sp = subs.add_parser("adversarial", help="evaluate a named adversarial instance")
     sp.add_argument("--name", required=True)
     sp.add_argument("--params", action="append", default=[], help="k=v[,k=v...]")
     sp.add_argument("--kind", default=None)
     sp.add_argument("--policy", default=None)
-    _add_common(sp)
+    _add_options(sp, "--seed", "--out", "--strict")
 
     sp = subs.add_parser("diagnose", help="finite/infinite SAA coefficient")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--kind", required=True)
-    _add_common(sp)
+    _add_options(sp, "--out")
 
     sp = subs.add_parser("rates", help="eps sweep with a log-log rate fit")
     sp.add_argument("--problem", required=True)
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=10_000)
     sp.add_argument("--family", default=None)
     sp.add_argument("--params", action="append", default=[])
-    _add_common(sp)
+    _add_options(sp, "--seed", "--trials", "--out", "--strict")
 
     return parser
 

@@ -204,11 +204,11 @@ def monte_carlo_regret(
         raise ValueError("need at least one historical measure")
     opt_mu = opt_value(p, mu)
 
-    # One group per distinct object: the inverse of one np.unique of the ids
-    # is each column's group.  Each column maps its own uniform through its
-    # group's table, so neither the grouping nor its order changes a count.
+    # One group per distinct object, in the order of one np.unique of the
+    # ids.  Each column maps its own uniform through its group's table, so
+    # neither the grouping nor its order changes a count.
     ids = np.fromiter(map(id, nus), np.uintp, n)
-    _, firsts, group_of = np.unique(ids, return_index=True, return_inverse=True)
+    uniq_ids, firsts = np.unique(ids, return_index=True)
     objects = [nus[i] for i in firsts.tolist()]
     off = [i for i in firsts.tolist() if nus[i].upper != mu.upper]
     if off:
@@ -229,6 +229,9 @@ def monte_carlo_regret(
     union_idx = np.zeros(held.shape, np.intp)
     union_idx[held] = point_idx
     table = width * n < _ENTRIES_PER_GROUP * len(objects)
+    if table or len(objects) > 1:
+        # each column's group: the np.unique inverse, found only where read
+        group_of = np.searchsorted(uniq_ids, ids)
     if table:
         # one row per boundary; row g of the union table at g * width
         edge_rows = np.ascontiguousarray(np.where(held[:, 1:], cum[:, :-1], np.inf).T)
@@ -332,10 +335,12 @@ def _two_point(p0: float, w0: float, p1: float, w1: float, upper: float) -> Fini
     return make_finite_measure([p0, p1], [w0, w1], upper)
 
 
-def _check_apart(lo: float, hi: float, tol: float, atoms: str, eps: float) -> None:
-    """EpsTooLarge unless eps keeps the construction's atoms lo < hi more than tol apart."""
+def _check_apart(lo: float, hi: float, tol: float, values: str, eps: float) -> None:
+    """EpsTooLarge unless eps keeps the construction's values lo < hi more
+    than tol apart: two atoms, or one weight before and after the eps move,
+    which a move that rounds away leaves equal (mu == nu, regret 0)."""
     if not hi - lo > tol:
-        raise EpsTooLarge(f"need {atoms} more than {tol} apart, got eps={eps}")
+        raise EpsTooLarge(f"need {values} more than {tol} apart, got eps={eps}")
 
 
 def _integer_param(params: dict, name: str, default: int | None = None) -> int:
@@ -362,6 +367,8 @@ def _build_nv_tv_pair(params: dict) -> AdversarialPair:
         raise EpsTooLarge(
             f"need mass shift in (0, min(q, 1-q) = {min(q, 1 - q)}], got {shift}"
         )
+    _check_apart(q - shift, q, 0.0, "mu's weight q - shift at 0 and nu's q", eps)
+    _check_apart(1.0 - q, 1.0 - q + shift, 0.0, "nu's weight 1 - q at M and mu's", eps)
     center = _two_point(0.0, q, M, 1.0 - q, M)
     mu_plus = _two_point(0.0, q - shift, M, 1.0 - q + shift, M)
     return AdversarialPair(
@@ -384,6 +391,8 @@ def _build_pr_k_pair(params: dict) -> AdversarialPair:
         raise ValueError("pr_k_pair is a Kolmogorov/total-variation construction")
     if not (0.0 < eps <= 0.5):
         raise EpsTooLarge(f"need 0 < eps <= 1/2, got {eps}")
+    _check_apart(0.5 - eps, 0.5, 0.0, "mu's weight 1/2 - eps at M/2 and nu's 1/2", eps)
+    _check_apart(0.5, 0.5 + eps, 0.0, "nu's weight 1/2 at M and mu's 1/2 + eps", eps)
     center = _two_point(M / 2, 0.5, M, 0.5, M)
     mu_plus = _two_point(M / 2, 0.5 - eps, M, 0.5 + eps, M)
     return AdversarialPair(
@@ -458,6 +467,9 @@ def _build_ski_k_saa_fail(params: dict) -> AdversarialPair:
         raise EpsTooLarge(f"need 0 <= alpha <= eps, got alpha={alpha}")
     if alpha > nu_weight[float(M)]:
         raise EpsTooLarge(f"need alpha <= nu(M) = {nu_weight[float(M)]}")
+    w1, wM = nu_weight[1.0], nu_weight[float(M)]
+    _check_apart(w1 - eps, w1, 0.0, "mu's weight nu(1) - eps at 1 and nu's nu(1)", eps)
+    _check_apart(wM - alpha, wM + (-alpha + eps), 0.0, "nu_alpha's and mu's weights at M", eps)
 
     # nu_alpha: move alpha mass from M down to 0, so renting one more day is
     # strictly preferred at every step and SAA never buys.
@@ -496,6 +508,8 @@ def _build_ski_k_lower(params: dict) -> AdversarialPair:
         raise EpsTooLarge(f"need 0 < eps <= 1/2, got {eps}")
     if M < 1.25 * b:
         raise ValueError(f"need M >= 5b/4, got M={M}")
+    # mu's weights are nu's swapped: at both atoms they differ iff these do
+    _check_apart(0.5 - eps / 2, 0.5 + eps / 2, 0.0, "the weights 1/2 -/+ eps/2", eps)
     nu = _two_point(0.75 * b, 0.5 + eps / 2, 1.25 * b, 0.5 - eps / 2, M)
     mu = _two_point(0.75 * b, 0.5 - eps / 2, 1.25 * b, 0.5 + eps / 2, M)
     return AdversarialPair(

@@ -1,6 +1,7 @@
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -405,3 +406,46 @@ def reference_analytic_bounds(
     if p.b < 1.0 or eps > p.b / 4.0 or p.M < 2.0 * p.b:
         raise EpsTooLarge("ski/wasserstein best bounds need b >= 1, eps <= b/4, M >= 2b")
     return math.sqrt(p.b * eps) / 4.0, 4.0 * math.sqrt(p.b * eps) + 2.0 * eps
+
+
+# The Bernstein-polynomial checks for objectives that are only Hoelder
+# continuous (acceptance criterion 11).  No library code calls them, so
+# they and their scipy dependency live here.
+class DegreeZero(ValueError):
+    pass
+
+
+def bernstein_eval(f: Callable[[float], float], q: int, y: float) -> float:
+    """Degree-q Bernstein approximation sum_p f(p/q) * C(q,p) y^p (1-y)^(q-p),
+    evaluated through the binomial pmf for numerical stability."""
+    from scipy import stats  # deferred: scipy.stats costs ~1 s and ~70 MB to import
+
+    if q < 1:
+        raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
+    if not (0.0 <= y <= 1.0):
+        raise ValueError(f"evaluation point {y} outside [0, 1]")
+    ps = np.arange(q + 1)
+    vals = np.asarray([f(pp / q) for pp in ps])
+    return float(vals @ stats.binom.pmf(ps, q, y))
+
+
+def bernstein_error_check(
+    f: Callable[[float], float],
+    omega: Callable[[float], float],
+    q: int,
+    grid_n: int = 10_000,
+) -> bool:
+    """True iff max_y |B_q(f)(y) - f(y)| over a grid is within the
+    (5/4) * omega(1/sqrt(q)) modulus-of-continuity bound (plus 1e-9)."""
+    from scipy import stats  # deferred, as in bernstein_eval
+
+    if q < 1:
+        raise DegreeZero(f"Bernstein degree must be >= 1, got {q}")
+    ps = np.arange(q + 1)
+    vals = np.asarray([f(pp / q) for pp in ps])
+    ys = np.linspace(0.0, 1.0, grid_n)
+    pmf = stats.binom.pmf(ps[None, :], q, ys[:, None])
+    approx = pmf @ vals
+    exact = np.asarray([f(y) for y in ys])
+    err = float(np.abs(approx - exact).max())
+    return err <= 1.25 * omega(q ** -0.5) + 1e-9

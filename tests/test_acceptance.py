@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from heterodro.approx import bernstein_error_check
 from heterodro.cli import default_scan_grid, fit_rate, main
 from heterodro.measures import make_finite_measure
 from heterodro.metrics import (
@@ -42,6 +41,7 @@ from heterodro.regret import (
 )
 
 from conftest import (
+    bernstein_error_check,
     empirical_from,
     enumerate_grid_measures,
     hetero_helps_homogeneous_max,

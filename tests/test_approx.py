@@ -7,18 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heterodro.approx import (
-    DegreeZero,
-    ObjectiveStats,
-    bernstein_error_check,
-    bernstein_eval,
-    objective_stats,
-    saa_diagnostic,
-)
+from heterodro.approx import ObjectiveStats, objective_stats, saa_diagnostic
 from heterodro.metrics import DistanceKind
 from heterodro.problems import ProblemKind, ProblemSpec
 
-from conftest import objective_stats_numeric
+from conftest import (
+    DegreeZero,
+    bernstein_error_check,
+    bernstein_eval,
+    objective_stats_numeric,
+)
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 
@@ -165,8 +163,8 @@ class TestBernstein:
 
 
 def test_cold_start_does_not_import_scipy():
-    # scipy.stats is loaded only inside the Bernstein helpers; a fresh
-    # interpreter is needed because other tests may already have loaded it
+    # no library module imports scipy; a fresh interpreter is needed because
+    # the Bernstein helpers in tests/conftest.py may already have loaded it
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import heterodro, heterodro.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -388,11 +388,22 @@ class TestCommands:
              "need nu's atom b/2 and mu's atom b/2 + eps more than 0.0 apart, got eps=1e-30"),
             ("ski_w_lower", "eps=1e-30",
              "need mu's atoms b/2 -/+ sqrt(b*eps)/2 more than 1e-12 apart, got eps=1e-30"),
+            ("nv_tv_pair", "eps=1e-20",
+             "need mu's weight q - shift at 0 and nu's q more than 0.0 apart, got eps=1e-20"),
+            ("pr_k_pair", "eps=1e-20",
+             "need mu's weight 1/2 - eps at M/2 and nu's 1/2 more than 0.0 apart, "
+             "got eps=1e-20"),
+            ("ski_k_lower", "eps=1e-20",
+             "need the weights 1/2 -/+ eps/2 more than 0.0 apart, got eps=1e-20"),
+            ("ski_k_saa_fail", "M=10,b=3,eps=1e-20",
+             "need mu's weight nu(1) - eps at 1 and nu's nu(1) more than 0.0 apart, "
+             "got eps=1e-20"),
         ],
     )
     def test_eps_too_small_to_separate_atoms_exits_2(self, capsys, name, params, message):
-        # Below these radii the construction's atoms merge or coincide, so
-        # the pair is no longer the instance its target describes.
+        # Below these radii the construction's atoms merge or coincide, or
+        # the eps move leaves a weight unchanged (mu == nu), so the pair is
+        # no longer the instance its target describes.
         assert main(["adversarial", "--name", name, "--params", params, "--strict"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -414,6 +425,26 @@ class TestCommands:
         assert [row["regret_est"] for row in rows] == ["", "", ""]
         for row, eps in zip(rows, eps_grid):
             assert row["slope_note"].startswith(f"skipped: {note}, got eps={eps}")
+
+    @pytest.mark.parametrize(
+        "problem, kind, family, weights",
+        [
+            ("newsvendor:1,1,1", "tv", "nv_tv_pair", "mu's weight q - shift at 0 and nu's q"),
+            ("pricing:1", "k", "pr_k_pair", "mu's weight 1/2 - eps at M/2 and nu's 1/2"),
+            ("ski:1,2", "k", "ski_k_lower", "the weights 1/2 -/+ eps/2"),
+            ("ski:3,10", "k", "ski_k_saa_fail", "mu's weight nu(1) - eps at 1 and nu's nu(1)"),
+        ],
+    )
+    def test_eps_move_that_rounds_away_skips_row(self, capsys, problem, kind, family, weights):
+        argv = ["rates", "--problem", problem, "--kind", kind, "--policy", "saa",
+                "--family", family, "--eps-grid", "1e-20,0.01,0.02", "--strict"]
+        assert main(argv) == 0
+        rows = csv_to_rows(capsys.readouterr().out)
+        assert rows[0]["regret_est"] == ""
+        assert rows[0]["slope_note"] == (
+            f"skipped: need {weights} more than 0.0 apart, got eps=1e-20"
+        )
+        assert all(float(row["regret_est"]) > 0.0 for row in rows[1:])
 
     @pytest.mark.parametrize(
         "argv, brackets",
@@ -819,6 +850,74 @@ class TestCachedParser:
         assert [code for code, _, _ in got] == [2, 0, 2, 0]
         assert got[0][1] != got[1][1]
         assert build_parser() is build_parser()
+
+
+# One valid invocation of each subcommand, and the shared options it reads.
+SUBCOMMANDS = {
+    "distance": (["--kind", "w", "--a", "0.0:1.0@1.0", "--b", "1.0:1.0@1.0"], ("--out",)),
+    "oracle": (["--problem", "pricing:1", "--measure", "0.5:1.0@1.0"], ("--out",)),
+    "regret": (["--problem", "pricing:1", "--policy", "saa", "--mu", "0.9:1.0@1.0",
+                "--nu", "0.95:1.0@1.0"], ("--seed", "--out", "--strict")),
+    "dro-scan": (["--problem", "newsvendor:1,1,1", "--policy", "saa", "--kind", "k",
+                  "--eps", "0.05", "--weight-res", "10"], ("--out", "--strict")),
+    "adversarial": (["--name", "pr_k_pair", "--params", "eps=0.05"],
+                    ("--seed", "--out", "--strict")),
+    "diagnose": (["--problem", "pricing:1", "--kind", "w"], ("--out",)),
+    "rates": (["--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05"],
+              ("--seed", "--trials", "--out", "--strict")),
+}
+REMOVED_SLOTS = [
+    (cmd, flag)
+    for cmd, (_, kept) in SUBCOMMANDS.items()
+    for flag in ("--seed", "--trials", "--strict")
+    if flag not in kept
+]
+
+
+class TestSubcommandOptions:
+    """Each subcommand takes only the shared options it reads: one it would
+    ignore is refused at parse time, never run silently."""
+
+    @staticmethod
+    def flag_argv(flag, out):
+        return {"--seed": ["--seed", "7"], "--trials": ["--trials", "5"],
+                "--out": ["--out", str(out)], "--strict": ["--strict"]}[flag]
+
+    @pytest.mark.parametrize("cmd, flag", REMOVED_SLOTS)
+    def test_unread_option_exits_2(self, capsys, tmp_path, cmd, flag):
+        argv, _ = SUBCOMMANDS[cmd]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *argv, *self.flag_argv(flag, tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("cmd", SUBCOMMANDS)
+    def test_kept_options_parse(self, capsys, tmp_path, cmd):
+        argv, kept = SUBCOMMANDS[cmd]
+        out = tmp_path / "out.csv"
+        extra = [item for flag in kept for item in self.flag_argv(flag, out)]
+        assert main([cmd, *argv, *extra]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text()
+
+    def test_every_subcommand_runs_without_scipy(self):
+        # scipy is a test dependency only: with every import of it made to
+        # fail, each subcommand still runs
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from heterodro.cli import main\n"
+            f"for argv in {[[cmd, *argv] for cmd, (argv, _) in SUBCOMMANDS.items()]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(",".join(CSV_HEADER)) == 4
 
 
 class TestThousandAtomTexts:

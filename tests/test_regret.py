@@ -514,6 +514,29 @@ class TestAdversarialInstances:
         with pytest.raises(EpsTooLarge):
             adversarial_instance("ski_w_saa_fail", dict(b=2, M=10, eps=0.6))
 
+    @pytest.mark.parametrize(
+        "name, params, weights",
+        [
+            ("nv_tv_pair", dict(eps=1e-20), "mu's weight q - shift at 0 and nu's q"),
+            ("nv_tv_pair", dict(c_u=1, c_o=9, eps=3e-17), "nu's weight 1 - q at M and mu's"),
+            ("pr_k_pair", dict(eps=1e-20), "mu's weight 1/2 - eps at M/2 and nu's 1/2"),
+            ("pr_k_pair", dict(eps=4e-17), "nu's weight 1/2 at M and mu's 1/2 + eps"),
+            ("ski_k_lower", dict(eps=1e-20), "the weights 1/2 -/+ eps/2"),
+            ("ski_k_saa_fail", dict(M=10, b=3, eps=1e-20),
+             "mu's weight nu(1) - eps at 1 and nu's nu(1)"),
+            ("ski_k_saa_fail", dict(M=8, b=5, eps=1e-16), "nu_alpha's and mu's weights at M"),
+        ],
+    )
+    def test_eps_move_that_rounds_away(self, name, params, weights):
+        # A mass shift below half an ulp of the weight it moves leaves that
+        # weight as it was: at 1e-20 mu == nu and the pair's regret is 0
+        # under a positive target.  The second case of each two-weight move
+        # shifts one weight and not the other.
+        eps = params["eps"]
+        with pytest.raises(EpsTooLarge) as exc:
+            adversarial_instance(name, params)
+        assert str(exc.value) == f"need {weights} more than 0.0 apart, got eps={eps}"
+
     def test_missing_parameter(self):
         with pytest.raises(MissingParameter, match="requires parameter"):
             adversarial_instance("pr_k_pair", dict())
