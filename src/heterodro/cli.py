@@ -358,15 +358,20 @@ def _violation(mode: str, report: RegretReport | None) -> bool:
     """Sandwich violation for --strict.
 
     Scan estimates are lower bounds, so only the upper side binds there;
-    exact and Monte-Carlo rows must respect both sides (within 3 CI).
+    exact and Monte-Carlo rows must respect both sides, each within 3 CI
+    plus 1e-9 times that bound, so that a bound of 1e-16 still binds.
     """
     if report is None:
         return False
-    slack = 3.0 * report.ci_half_width + 1e-9
-    if report.analytic_upper is not None and report.estimate - slack > report.analytic_upper:
+
+    def slack(bound: float) -> float:
+        return 3.0 * report.ci_half_width + 1e-9 * abs(bound)
+
+    upper, lower = report.analytic_upper, report.analytic_lower
+    if upper is not None and report.estimate - slack(upper) > upper:
         return True
-    if mode != "dro-scan" and report.analytic_lower is not None:
-        if report.estimate + slack < report.analytic_lower:
+    if mode != "dro-scan" and lower is not None:
+        if report.estimate + slack(lower) < lower:
             return True
     return False
 

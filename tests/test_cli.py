@@ -654,6 +654,25 @@ class TestCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("pr_k_pair", "eps=6e-17"),
+            ("pr_k_pair", "eps=8e-17"),
+            ("ski_k_lower", "eps=1e-16"),
+            ("ski_k_saa_fail", "M=10,b=3,eps=1e-16"),
+        ],
+    )
+    def test_strict_slack_scales_with_the_bound(self, capsys, name, params):
+        # At these eps the weights move by about an ulp, and the regret (0,
+        # or 4.4e-16 for ski_k_saa_fail) falls below analytic_lo (6e-17 to
+        # 5.5e-16): a slack of 1e-9 times the bound flags it, an absolute
+        # 1e-9 forgave it.
+        code = main(["adversarial", "--strict", "--name", name, "--params", params])
+        row = csv_to_rows(capsys.readouterr().out)[0]
+        assert float(row["regret_est"]) < float(row["analytic_lo"])
+        assert code == 3
+
     def test_strict_pass_exits_0(self, capsys):
         code = main(
             [

@@ -633,6 +633,27 @@ def eps_on_boundary(d):
     return eps
 
 
+def assert_windows_hold(windows, mu, nu):
+    """Each measure nu[i] lies in the window that ``regret._ball_windows``
+    gives measure mu[i]'s row; and the windows are laid out as it says: mus
+    a permutation of the n measures, nus segments of n positions that each
+    are one, lo and hi non-decreasing and each window inside one segment."""
+    mus, nus, lo, hi = windows
+    n = len(mus)
+    segments = nus.reshape(-1, n)
+    assert sorted(mus.tolist()) == list(range(n))
+    assert all(sorted(seg) == list(range(n)) for seg in segments.tolist())
+    assert (np.diff(lo) >= 0).all() and (np.diff(hi) >= 0).all()
+    assert (lo // n == (hi - 1) // n).all()
+    row = np.empty(n, np.intp)
+    row[mus] = np.arange(n)
+    at = np.empty(segments.shape, np.intp)  # at[k, m]: m's position in nus's segment k
+    np.put_along_axis(at, segments, np.arange(nus.size).reshape(segments.shape), axis=1)
+    p = row[mu]
+    q = at[lo[p] // n, nu]
+    assert ((lo[p] <= q) & (q < hi[p])).all()
+
+
 @st.composite
 def scan_cases(draw, locations, resolution):
     """A policy cell, a distance, a grid, an eps and a block budget for
@@ -667,6 +688,68 @@ def scan_cases(draw, locations, resolution):
             eps = eps_on_boundary(d)
     entries = draw(st.sampled_from([1, 5, 64, 1 << 17]))
     return problem, pol, kind, grid, eps, entries
+
+
+@st.composite
+def grouping_cases(draw):
+    """A policy cell, a distance, a grid of measures with at most 2 atoms
+    on 3-6 equally spaced or random 1/16-lattice locations (lattice values
+    make equal scores and pairs on the ball's edge likelier), an eps in
+    (0, 0.1] on a 1/256 lattice (times M for W1) and a block budget of 1 or
+    64 entries for ``regret._SCAN_ENTRIES``: cases whose ball windows are
+    often grouped."""
+    problem, pol = draw(st.sampled_from(SCAN_CELLS))
+    kind = draw(st.sampled_from([K, TV, W]))
+    count = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        fractions = [j / count for j in range(count)]
+    else:
+        fractions = draw(st.lists(st.integers(0, 16), min_size=count, max_size=count))
+        fractions = [f / 16 for f in fractions]
+    grid = ScanGrid(
+        tuple(sorted({f * problem.M for f in fractions})),
+        weight_resolution=draw(st.integers(4, 12)),
+        max_atoms=2,
+    )
+    eps = draw(st.integers(1, 25)) * (problem.M / 1024 if kind is W else 1 / 256)
+    return problem, pol, kind, grid, eps, draw(st.sampled_from([1, 64]))
+
+
+def spied_scan(problem, pol, kind, eps, grid, entries=None):
+    """dro_regret_scan's report, with ``regret._SCAN_ENTRIES`` set to
+    ``entries`` if given, and the (args, result) of the scan's
+    ``_ball_windows`` and ``_window_bound`` calls by name."""
+    seen = {}
+
+    def spy(name):
+        def call(*args):
+            seen[name] = args, real(*args)
+            return seen[name][1]
+
+        real = getattr(regret, name)
+        return mock.patch.object(regret, name, call)
+
+    with spy("_ball_windows"), spy("_window_bound"):
+        with mock.patch.object(regret, "_SCAN_ENTRIES", entries or regret._SCAN_ENTRIES):
+            rep = dro_regret_scan(problem, pol, kind, eps, grid)
+    return rep, seen
+
+
+def assert_scan_matches_reference(rep, problem, pol, kind, eps, grid):
+    """The scan's estimate and witness are the reference scan's, bit for
+    bit, unless the reference's witness fails in_ball."""
+    estimate, pair = reference_dro_regret_scan(problem, pol, kind, eps, grid)
+    if pair is not None and not in_ball(pair[0], pair[1], kind, eps):
+        # The reference's witness fails in_ball (the old scan raised on
+        # it); the scan reports the best pair that passes instead.
+        assert rep.estimate <= estimate
+        assert rep.witness is None or in_ball(rep.witness.mu, rep.witness.nus[0], kind, eps)
+        return
+    assert rep.estimate.hex() == estimate.hex()
+    if pair is None:
+        assert rep.witness is None
+    else:
+        assert (rep.witness.mu, rep.witness.nus) == (pair[0], (pair[1],))
 
 
 @st.composite
@@ -885,18 +968,73 @@ class TestScan:
         problem, pol, kind, grid, eps, entries = case
         with mock.patch.object(regret, "_SCAN_ENTRIES", entries):
             rep = dro_regret_scan(problem, pol, kind, eps, grid)
-        estimate, pair = reference_dro_regret_scan(problem, pol, kind, eps, grid)
-        if pair is not None and not in_ball(pair[0], pair[1], kind, eps):
-            # The reference's witness fails in_ball (the old scan raised on
-            # it); the scan reports the best pair that passes instead.
-            assert rep.estimate <= estimate
-            assert rep.witness is None or in_ball(rep.witness.mu, rep.witness.nus[0], kind, eps)
-            return
-        assert rep.estimate.hex() == estimate.hex()
-        if pair is None:
-            assert rep.witness is None
-        else:
-            assert (rep.witness.mu, rep.witness.nus) == (pair[0], (pair[1],))
+        assert_scan_matches_reference(rep, problem, pol, kind, eps, grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grouping_cases())
+    def test_grouped_windows_match_reference(self, case):
+        # Where the windows hold more than the block budget and giving each
+        # measure its own narrowest location at least halves them, each
+        # group's rows are scored against its location's windows; the
+        # estimate and the witness are the reference's bit for bit.
+        problem, pol, kind, grid, eps, entries = case
+        rep, seen = spied_scan(problem, pol, kind, eps, grid, entries)
+        mus, nus, _, _ = seen["_ball_windows"][1]
+        assume(len(nus) > len(mus))
+        assert_scan_matches_reference(rep, problem, pol, kind, eps, grid)
+
+    @pytest.mark.parametrize(
+        "kind, pol, fractions, resolution, max_atoms, eps",
+        [
+            (K, PolicySpec.delta_saa(-0.1), (0.0, 0.25, 0.5, 0.75, 1.0), 8, 2, 0.0625),
+            (TV, SAA, (0.0, 0.25, 0.5, 0.75, 1.0), 8, 3, 0.125),
+            (W, PolicySpec.delta_saa(-0.1), (0.0, 1 / 6, 1 / 3, 0.5, 2 / 3, 5 / 6), 8, 2, 1 / 64),
+        ],
+    )
+    def test_ties_across_groups_keep_the_first_witness(
+        self, kind, pol, fractions, resolution, max_atoms, eps
+    ):
+        # Pricing grids whose best score is tied by rows of two or more
+        # groups: the witness is still the first such pair in (mu, nu) order.
+        p = ProblemSpec.pricing(1)
+        grid = ScanGrid(fractions, resolution, max_atoms)
+        rep, seen = spied_scan(p, pol, kind, eps, grid, 64)
+        (_, cols, gaps, _), (mus, nus, lo, _) = seen["_ball_windows"]
+        (V, a_idx, _, _), _ = seen["_window_bound"]
+        n = len(mus)
+        assert len(nus) > n
+        D = distance_block(kind, cols[:, mus], cols[:, nus], gaps)
+        tied = np.where(D <= eps + BALL_SLACK, V[:, a_idx], -1.0).max(axis=1) == rep.estimate
+        assert len(set((lo[tied] // n).tolist())) > 1
+        assert_scan_matches_reference(rep, p, pol, kind, eps, grid)
+
+    @pytest.mark.parametrize("kind", [K, TV])
+    def test_grouping_needs_wide_windows_halved(self, kind):
+        # On 95 measures the windows hold under _SCAN_ENTRIES entries, so one
+        # location serves all rows; with a budget of 1 the TV windows halve
+        # and are grouped, the K ones do not and are not.  Both scans agree.
+        p = ProblemSpec.newsvendor(1, 1, 1)
+        grid = ScanGrid((0.0, 0.25, 0.5, 0.75, 1.0), 10, 2)
+        rep, seen = spied_scan(p, SAA, kind, 0.1, grid)
+        mus, nus, lo, hi = seen["_ball_windows"][1]
+        assert nus is mus and len(mus) == 95
+        assert (hi - lo).sum() <= regret._SCAN_ENTRIES
+        low, seen = spied_scan(p, SAA, kind, 0.1, grid, 1)
+        assert len(seen["_ball_windows"][1][1]) == (5 * 95 if kind is TV else 95)
+        assert (low.estimate.hex(), low.witness) == (rep.estimate.hex(), rep.witness)
+
+    def test_grouping_skipped_where_per_row_windows_save_little(self):
+        # The 1 055-measure K grid: its narrowest location's windows hold
+        # 214 715 entries, more than _SCAN_ENTRIES, but each measure's own
+        # narrowest window would save less than half, so one location
+        # serves all rows.  The TV scan of that grid is grouped.
+        p = ProblemSpec.newsvendor(1, 1, 1)
+        grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9), 15, 3, max_pairs=10**8)
+        mus, nus, lo, hi = spied_scan(p, SAA, K, 0.1, grid)[1]["_ball_windows"][1]
+        assert nus is mus and (hi - lo).sum() == 214_715
+        _, seen = spied_scan(p, SAA, TV, 0.1, grid)
+        mus, nus, lo, hi = seen["_ball_windows"][1]
+        assert len(nus) == 5 * len(mus) and (hi - lo).sum() == 106_645
 
     @settings(max_examples=40, deadline=None)
     @given(case=scan_cases(locations=(8, 10), resolution=(1, 5)))
@@ -932,14 +1070,8 @@ class TestScan:
         # Each location's term alone bounds the block distance, so every pair
         # the scan's blocks could put in the ball lies in its row's window.
         kind, cols, gaps, D, eps = case
-        n = D.shape[0]
-        order, lo, hi = regret._ball_windows(kind, cols, gaps, eps)
-        assert sorted(order.tolist()) == list(range(n))
-        assert (np.diff(lo) >= 0).all() and (np.diff(hi) >= 0).all()
-        at = np.empty(n, np.intp)
-        at[order] = np.arange(n)
-        mu, nu = np.nonzero(D <= eps + BALL_SLACK)
-        assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+        windows = regret._ball_windows(kind, cols, gaps, eps)
+        assert_windows_hold(windows, *np.nonzero(D <= eps + BALL_SLACK))
 
     @settings(max_examples=100, deadline=None)
     @given(case=scan_cases(locations=(1, 7), resolution=(1, 12)))
@@ -947,21 +1079,10 @@ class TestScan:
         # Every pair that distance_block puts in the ball scores at most its
         # row's bound, and the bound is the largest score in the row's window.
         problem, pol, kind, grid, eps, _ = case
-        seen = {}
-
-        def spy(name):
-            def call(*args):
-                seen[name] = args, real(*args)
-                return seen[name][1]
-
-            real = getattr(regret, name)
-            return mock.patch.object(regret, name, call)
-
-        with spy("_ball_windows"), spy("_window_bound"):
-            dro_regret_scan(problem, pol, kind, eps, grid)
-        (_, cols, gaps, _), (order, lo, hi) = seen["_ball_windows"]
+        _, seen = spied_scan(problem, pol, kind, eps, grid)
+        (_, cols, gaps, _), (mus, nus, lo, hi) = seen["_ball_windows"]
         (V, a_idx, _, _), bound = seen["_window_bound"]
-        D = distance_block(kind, cols[:, order], cols[:, order], gaps)
+        D = distance_block(kind, cols[:, mus], cols[:, nus], gaps)
         mu, nu = np.nonzero(D <= eps + BALL_SLACK)
         assert (V[mu, a_idx[nu]] <= bound[mu]).all()
         for p in range(len(bound)):
@@ -998,13 +1119,10 @@ class TestScan:
         gaps = np.append(locs[1:], 1.0) - locs
         cols = location_columns(kind, rows)
         D = distance_block(kind, cols, cols, gaps)
-        at = np.empty(len(rows), np.intp)
         for d in np.unique(D[D > 0.25]).tolist():
             eps = eps_on_boundary(d)
-            order, lo, hi = regret._ball_windows(kind, cols, gaps, eps)
-            at[order] = np.arange(len(rows))
-            mu, nu = np.nonzero(D <= eps + BALL_SLACK)
-            assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+            windows = regret._ball_windows(kind, cols, gaps, eps)
+            assert_windows_hold(windows, *np.nonzero(D <= eps + BALL_SLACK))
 
     def test_tv_windows_hold_pairs_whose_weights_round_apart(self):
         # Rows that fsum to 1 can differ at one location by an ulp or so more
@@ -1017,13 +1135,10 @@ class TestScan:
         gaps = np.array([0.5, 0.5])
         cols = location_columns(TV, rows)
         D = distance_block(TV, cols, cols, gaps)
-        at = np.empty(len(rows), np.intp)
         for k in range(len(pairs)):
             eps = eps_on_boundary(float(D[2 * k, 2 * k + 1]))
-            order, lo, hi = regret._ball_windows(TV, cols, gaps, eps)
-            at[order] = np.arange(len(rows))
-            mu, nu = np.nonzero(D <= eps + BALL_SLACK)
-            assert ((lo[at[mu]] <= at[nu]) & (at[nu] < hi[at[mu]])).all()
+            windows = regret._ball_windows(TV, cols, gaps, eps)
+            assert_windows_hold(windows, *np.nonzero(D <= eps + BALL_SLACK))
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
     def test_tv_windows_reach_eps_not_twice_eps(self, eps):
@@ -1033,7 +1148,7 @@ class TestScan:
         # take pairs up to 0.1, 0.2 or 0.5 apart.
         grid = ScanGrid((0.0, 0.25, 0.5, 0.75, 1.0), 10, 2)
         cols = location_columns(TV, grid_weight_rows(grid, 1.0))
-        _, lo, hi = regret._ball_windows(TV, cols, np.full(5, 0.25), eps)
+        *_, lo, hi = regret._ball_windows(TV, cols, np.full(5, 0.25), eps)
         reach = (eps + BALL_SLACK) * (1 + 2.0**-40)
         counts = [int((np.abs(c[:, None] - c) <= reach).sum()) for c in cols]
         assert (hi - lo).sum() <= min(counts) < len(hi) ** 2
@@ -1113,16 +1228,19 @@ class TestScan:
 
     def test_block_memory(self):
         # 1905 measures: the distance and regret blocks are (rows x n) with
-        # rows x n about _SCAN_ENTRIES, not 128 rows x n x L.
+        # rows x n about _SCAN_ENTRIES, not 128 rows x n x L.  The TV scan
+        # is grouped: its columns are five sort orders of the grid.
         grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9), weight_resolution=20, max_atoms=3)
         assert grid.measure_count == 1905
-        tracemalloc.start()
-        try:
-            dro_regret_scan(ProblemSpec.newsvendor(1, 1, 1), SAA, K, 0.1, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20
+        for kind, groups in ((K, 1), (TV, 5)):
+            tracemalloc.start()
+            try:
+                _, seen = spied_scan(ProblemSpec.newsvendor(1, 1, 1), SAA, kind, 0.1, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20
+            assert len(seen["_ball_windows"][1][1]) == groups * 1905
 
 
 class TestAnalyticBounds:

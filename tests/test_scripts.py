@@ -31,7 +31,7 @@ def test_stdout_matches_recorded(script):
 
 
 # rates --mode dro-scan on the default grids of each (problem, distance)
-# cell, and dro-scan on explicit grids of 1 055 and 1 905 measures.
+# cell, and dro-scan on explicit grids of 1 055, 1 905 and 875 measures.
 SCAN_COMMANDS = [
     ["rates", "--problem", problem, "--kind", kind, "--policy", "recommended",
      "--eps-grid", "0.01,0.03,0.1", "--mode", "dro-scan"]
@@ -43,6 +43,11 @@ SCAN_COMMANDS = [
      "--max-pairs", "100000000"]
     for problem, res in (("newsvendor:1,1,1", "15"), ("pricing:1", "20"))
     for kind in ("kolmogorov", "tv", "wasserstein")
+] + [
+    # 875 measures whose windows are scanned one group per location
+    ["dro-scan", "--problem", "newsvendor:1,1,1", "--policy", "saa", "--kind", "tv",
+     "--eps", "0.1", "--locations", "0,0.25,0.5,0.75,1", "--weight-res", "10",
+     "--max-atoms", "4"],
 ]
 
 
