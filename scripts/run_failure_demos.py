@@ -37,7 +37,7 @@ def run(eps: float) -> None:
     rep = dro_regret_scan(pair.problem, pol, W, eps, default_scan_grid(pair.problem, W, pol, eps))
     show("pricing", saa_val, f"deflate by {-pol.delta:.3f}", rep.estimate, 4 * math.sqrt(eps))
 
-    print("ski rental, Kolmogorov (b = 1, M = 10)")
+    print("ski rental, Kolmogorov (SAA on b = 3, capped on b = 1; M = 10)")
     pair = adversarial_instance("ski_k_saa_fail", dict(M=10, b=3, eps=eps))
     saa_val = evaluate_pair(pair)
     ski = adversarial_instance("ski_k_lower", dict(b=1.0, M=10.0, eps=eps)).problem

@@ -15,13 +15,15 @@ against a measure's weights in one of two ways:
 * ``fsum`` (:func:`expected_objective`): correctly rounded, so exact ties
   between actions survive; the oracles, the regrets and every test that
   asserts ``==`` use it;
-* ``@`` (:func:`expected_objective_grid`, the DRO scan's g-matrix): a
-  matrix product over many actions at once, exact to rounding only.
+* ``@``: a matrix product over many actions at once, exact to rounding
+  only.
 
-Oracles use closed-form candidate reductions (critical-fractile quantile,
-support-point maximum, {0} union support) whose optimality over the full
-continuum is re-certified against a dense action grid in the test suite.
-Ties break toward the smallest action.
+:func:`oracle` is the only statement of each oracle: closed-form candidate
+reductions (critical-fractile quantile, support-point maximum, {0} union
+support) whose optimality over the full continuum is re-certified against a
+dense action grid in the test suite.  Ties break toward the smallest action.
+:func:`oracle_rows` screens many measures with one product and hands every
+near-tie to :func:`oracle`.
 """
 
 from __future__ import annotations
@@ -223,36 +225,42 @@ def oracle_rows(p: ProblemSpec, W: np.ndarray, locs: np.ndarray) -> np.ndarray:
     weights of a canonical measure on [0, M] at the sorted ``locs`` (0.0
     off its atoms).
 
-    Each row repeats the scalar arithmetic over its atoms: a 0.0 weight
-    leaves a running sum unchanged, and ``accumulate`` (``np.cumsum``) runs
-    along a row in the scalar loop's order.  Ski-rental rows with more than
-    one candidate under the screen's rounding cut go to :func:`oracle`
-    itself, whose exact costs break their ties.
+    One matrix product scores every row's candidates (the atoms it holds,
+    and x = 0 for ski rental) through the objective table.  A row with a
+    single candidate under a proven rounding cut of its best score takes
+    that candidate; every other row goes to :func:`oracle` itself, whose
+    rule breaks its near-ties.
     """
-    n, L = W.shape
+    ski = p.kind is ProblemKind.SKI_RENTAL
+    actions = np.concatenate(([0.0], locs)) if ski else locs
+    g = _g(p, actions[:, None], locs)
+    g = -g if p.kind is ProblemKind.PRICING else g
     held = W > 0.0
-    if p.kind is ProblemKind.NEWSVENDOR:
-        # quantile: the first atom whose cumulative weight reaches q, else
-        # the last atom.
-        hit = held & (np.cumsum(W, axis=1) >= p.critical_fractile)
-        last = L - 1 - np.argmax(held[:, ::-1], axis=1)
-        return locs[np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)]
-    if p.kind is ProblemKind.PRICING:
-        # The mass left before each column is 1 - w_0 - ... - w_{j-1}.
-        remaining = np.subtract.accumulate(np.hstack((np.ones((n, 1)), W[:, :-1])), axis=1)
-        return locs[np.argmax(np.where(held, locs * remaining, -math.inf), axis=1)]
-    b = p.b
-    # Column 0 screens x = 0, column j + 1 the atom at locs[j] (inf if none).
-    mass = np.cumsum(W, axis=1)
-    atoms = np.cumsum(W * locs, axis=1) + (b + locs) * (1.0 - mass)
-    start = b * (1.0 - np.where(locs[0] <= 0.0, W[:, :1], 0.0))
-    screened = np.hstack((start, np.where(held & (locs > 0.0), atoms, math.inf)))
-    cut = screened.min(axis=1) + 8.0 * (held.sum(axis=1) + 9) * 2.0**-53 * (2.0 * p.M + b)
+    # A ski atom at 0 is the candidate x = 0, which every row has.
+    allowed = np.hstack((np.ones((len(W), 1), bool), held & (locs > 0.0))) if ski else held
+    screened = np.where(allowed, W @ g.T, math.inf)
+    # Why a lone survivor is oracle's action.  Let u = 2**-53, L = len(locs),
+    # G = max|g| and E_c a row's exact weighted sum of the table's g at
+    # candidate c (a canonical row sums to 1 within u).  The product errs
+    # from E_c by at most gamma_L*G, about L*u*G, in any summation order.
+    # oracle's action a has E_a within D of the row's smallest E:
+    # * ski rental: a is the argmin of fsum, within 2u*G of E: D = 4u*G;
+    # * newsvendor: the quantile's float running mass errs by at most L*u and
+    #   q by 3u, so between a and the exact argmin every atom's exact running
+    #   mass F lies within (L + 3)u of q.  From atom s to the next atom s' the
+    #   cost moves by (c_u + c_o)(s' - s)(F - q), and (c_u + c_o)(s' - s) <=
+    #   g(s, s') + g(s', s) <= 2G.  With g's own 2u rounding, D = 2(L + 5)u*G;
+    # * pricing: the float remaining mass errs by at most L*u, each revenue
+    #   by (L + 1)u*G: D = 2(L + 1)u*G.
+    # So a's score exceeds the row's minimum by at most 2L*u*G + D <=
+    # (4L + 10)u*G, up to a factor 1 + O(L*u).  The cut, 8(L + 4)u*G, is over
+    # twice that, which absorbs its own rounding: a survives.
+    cut = screened.min(axis=1) + 8.0 * (len(locs) + 4) * 2.0**-53 * np.abs(g).max()
     survivors = screened <= cut[:, None]
-    actions = np.concatenate(([0.0], locs))[np.argmax(survivors, axis=1)]
+    chosen = actions[np.argmax(survivors, axis=1)]
     for i in np.flatnonzero(survivors.sum(axis=1) > 1):
-        actions[i] = oracle(p, _row_measure(W[i], locs, p.M))
-    return actions
+        chosen[i] = oracle(p, _row_measure(W[i], locs, p.M))
+    return chosen
 
 
 def _row_measure(row: np.ndarray, locs: np.ndarray, upper: float) -> FiniteMeasure:

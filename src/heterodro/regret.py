@@ -93,7 +93,9 @@ class AdversarialPair:
     verified to lie in the eps-ball around mu at construction time.  For
     policy-failure instances ``cited_policy`` is the policy whose exact
     regret equals ``target``; for two-point-prior lower bounds it is None
-    and ``target`` is the fixed-action minimax value over {mu, nus[0]}.
+    and ``target`` is the exact fixed-action minimax value over {mu, nus[0]},
+    a minimum over {0, M} union the atoms; :func:`evaluate_pair` reports
+    :func:`fixed_action_minimax`'s grid value, which can lie above it.
     """
 
     name: str
@@ -282,17 +284,20 @@ def monte_carlo_regret(
 
 
 def fixed_action_minimax(
-    p: ProblemSpec, measures: list[FiniteMeasure] | tuple[FiniteMeasure, ...], n_grid: int = 1001
+    p: ProblemSpec, measures: list[FiniteMeasure] | tuple[FiniteMeasure, ...]
 ) -> tuple[float, float]:
-    """min over a fixed-action grid of the average regret against a uniform
-    prior over ``measures``; returns (value, minimizing action).
+    """min over the actions ``np.linspace(0, M, 1001)`` of the average regret
+    against a uniform prior over ``measures``; returns (value, minimizing
+    action).
 
-    This is the two-point-prior lower-bound scheme: any data-driven policy,
-    having seen samples from a measure lying in every candidate's ball, does
-    no better than the best fixed action against the prior.
+    The two-point-prior lower bound (no data-driven policy beats the best
+    fixed action against the prior) is the exact minimum, which lies on
+    {0, M} union the atoms, where the averaged regret's pieces meet.  The
+    grid can only overstate it (beyond rounding), so this value is not a
+    certified bound.
     """
-    xs = np.linspace(0.0, p.M, n_grid)
-    total = np.zeros(n_grid)
+    xs = np.linspace(0.0, p.M, 1001)
+    total = np.zeros(len(xs))
     for m in measures:
         total += np.abs(opt_value(p, m) - expected_objective_grid(p, xs, m))
     total /= len(measures)

@@ -25,7 +25,14 @@ from heterodro.metrics import (
     weights_on,
 )
 from heterodro.policies import policy_action
-from heterodro.problems import ProblemKind, ProblemSpec, objective, oracle
+from heterodro.problems import (
+    ProblemKind,
+    ProblemSpec,
+    expected_objective,
+    objective,
+    opt_value,
+    oracle,
+)
 from heterodro.regret import EpsTooLarge, NoAnalyticBound
 
 
@@ -250,6 +257,23 @@ def reference_dro_regret_scan(p, pol, kind, eps, grid):
         return best, None
     i, j = best_pair
     return best, (measures[i], measures[j])
+
+
+def exact_fixed_action_minimax(p, measures):
+    """min over the fixed actions {0, M} union the atoms of the average
+    regret against a uniform prior over ``measures``, from exact (fsum)
+    expectations, ties toward the smallest action; returns (value, action).
+    Between atoms the averaged regret is convex (newsvendor), decreasing up
+    to the next atom (pricing) or increasing after each atom (ski rental),
+    so this is its minimum over all of [0, M]."""
+    opts = [opt_value(p, m) for m in measures]
+    best = (math.inf, 0.0)
+    for x in sorted({0.0, p.M}.union(*(m.support for m in measures))):
+        terms = [abs(o - expected_objective(p, x, m)) for o, m in zip(opts, measures)]
+        value = math.fsum(terms) / len(measures)
+        if value < best[0]:
+            best = (value, x)
+    return best
 
 
 @pytest.fixture

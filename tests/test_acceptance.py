@@ -101,7 +101,7 @@ def test_criterion_03_pricing_deviated_saa_rate():
             points.append((eps, rep.estimate))
 
             pair = adversarial_instance("pr_w_lower", dict(M=1.0, eps=eps))
-            value, _ = fixed_action_minimax(pair.problem, (pair.mu,) + pair.nus, n_grid=1000)
+            value, _ = fixed_action_minimax(pair.problem, (pair.mu,) + pair.nus)
             assert value >= math.sqrt(eps) / 4 - 1e-9
         fit = fit_rate(points)
         assert 0.4 <= fit.slope <= 0.6

@@ -461,15 +461,21 @@ class TestCommands:
              [("0.111803398875", "0.111803398875", "0.111803398875")]),
             (["adversarial", "--name", "ski_w_lower", "--params", "b=2,M=10,eps=0.1",
               "--policy", "dsaa:0.5"],
-             [("0.12639320225", "0.111803398875", "")]),
+             [("0.12639320225", "", "")]),
+            # dsaa:-0.1 moves nu's atom 0.5 onto mu's optimum 0.4: regret 0 on
+            # (mu <- nu), below the minimax target 0.05
+            (["adversarial", "--name", "pr_w_lower", "--params", "eps=0.04",
+              "--policy", "dsaa:-0.1"],
+             [("0", "", "")]),
         ],
         ids=["cited", "nv-other-policy", "pr-w-saa-fail-other-policy", "minimax",
-             "minimax-other-policy"],
+             "minimax-other-policy", "minimax-policy-below-target"],
     )
     def test_target_brackets_only_the_policy_it_holds_for(self, capsys, argv, brackets):
-        # A family's target is the value of the policy it certifies: an upper
-        # bound for that policy alone, and a lower bound for it and, on a
-        # two-point minimax family, for every policy.
+        # A family's target is the value it certifies: for the policy it
+        # cites, or on a two-point minimax family for the minimax value.  It
+        # brackets that value alone: a minimax target bounds a policy's worst
+        # case over the pair, not the regret on (mu <- nu) that a row reports.
         assert main([*argv, "--strict"]) == 0
         rows = csv_to_rows(capsys.readouterr().out)
         got = [(row["regret_est"], row["analytic_lo"], row["analytic_hi"]) for row in rows]

@@ -60,6 +60,7 @@ from heterodro.regret import (
 from conftest import (
     cdf,
     enumerate_grid_measures,
+    exact_fixed_action_minimax,
     hetero_helps_homogeneous_max,
     mean,
     mix,
@@ -611,6 +612,33 @@ class TestFixedActionMinimax:
         pair = adversarial_instance("ski_w_lower", dict(b=1.0, M=10.0, eps=0.04))
         value, _ = fixed_action_minimax(pair.problem, (pair.mu,) + pair.nus)
         assert value == pytest.approx(0.05, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(["pr_w_lower", "ski_k_lower", "ski_w_lower"]),
+        scale=st.floats(1.0, 50.0),
+        room=st.floats(1.0, 4.0),
+        frac=st.floats(1e-6, 1.0),
+    )
+    def test_grid_value_over_exact_over_target(self, name, scale, room, frac):
+        # The grid value can only overstate the exact minimum over
+        # {0, M} union the atoms (up to the rounding of its matrix product),
+        # and a target set above that minimum would not be a lower bound.
+        # scale is M (pricing) or b (ski rental); room stretches M over its
+        # least valid value; eps is frac of its largest valid value.
+        if name == "pr_w_lower":
+            params = dict(M=scale, eps=frac * scale / 4)
+        else:
+            least_M, eps_max = (1.25 * scale, 0.5) if name == "ski_k_lower" else (2 * scale, scale / 4)
+            params = dict(b=scale, M=room * least_M, eps=frac * eps_max)
+        try:
+            pair = adversarial_instance(name, params)
+        except EpsTooLarge:
+            assume(False)
+        measures = (pair.mu,) + pair.nus
+        value, _ = fixed_action_minimax(pair.problem, measures)
+        exact, _ = exact_fixed_action_minimax(pair.problem, measures)
+        assert value >= exact - 1e-12 and exact >= pair.target - 1e-12
 
 
 SCAN_CELLS = [
