@@ -24,9 +24,12 @@ from .policies import EpsTooLarge, PolicyKind, PolicySpec, recommended_parameter
 from .problems import ProblemKind, ProblemSpec, expected_objective, oracle
 from .regret import (
     _FAMILY_PARAMS,
+    MAX_HISTORIES,
+    MAX_TRIALS,
     AdversarialPair,
     RegretReport,
     ScanGrid,
+    TooLarge,
     adversarial_instance,
     bounds_for_policy,
     dro_regret_scan,
@@ -124,6 +127,10 @@ class ExperimentConfig:
             raise ConfigInvalid("eps_grid must be sorted ascending")
         if self.n < 1 or self.trials < 1:
             raise ConfigInvalid("n and trials must be >= 1")
+        caps = (("n", self.n, MAX_HISTORIES), ("trials", self.trials, MAX_TRIALS))
+        for name, value, cap in caps:
+            if value > cap:
+                raise TooLarge(f"{name} = {value} exceeds the cap {cap}")
         for key in self.family_params:
             if key not in _FAMILY_PARAMS:
                 raise ConfigInvalid(f"unknown parameter {key!r}")

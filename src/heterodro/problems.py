@@ -23,7 +23,9 @@ reductions (critical-fractile quantile, support-point maximum, {0} union
 support) whose optimality over the full continuum is re-certified against a
 dense action grid in the test suite.  Ties break toward the smallest action.
 :func:`oracle_rows` screens many measures with one product and hands every
-near-tie to :func:`oracle`.
+near-tie to :func:`oracle`.  :func:`opt_value` is the ``fsum`` cost of the
+oracle's action; for ski rental it is the cost the oracle's exact recost
+already found (:func:`_ski_optimum`), so no action is costed twice.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ def objective(p: ProblemSpec, x, xi) -> np.ndarray:
     return _g(p, _in_interval(p, x, "action"), _in_interval(p, xi, "realization"))
 
 
-def _g(p: ProblemSpec, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """:func:`objective` on float arrays already known to lie in [0, M]."""
+def _g(p: ProblemSpec, x: float | np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """:func:`objective` on floats or float arrays already known to lie in
+    [0, M]."""
     if p.kind is ProblemKind.NEWSVENDOR:
         return p.c_u * np.maximum(xi - x, 0.0) + p.c_o * np.maximum(x - xi, 0.0)
     if p.kind is ProblemKind.PRICING:
@@ -147,10 +150,12 @@ def expected_objective(p: ProblemSpec, x: float, m: FiniteMeasure) -> float:
     in exact arithmetic on the rounded terms compare equal: the oracles
     break ties on this value.
     """
-    if m.upper > p.M:
-        raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
-    # The atoms lie in [0, m.upper] (FiniteMeasure), so only x is checked.
-    g = _g(p, _in_interval(p, x, "action"), np.asarray(m.support, dtype=float))
+    _check_measure(p, m)
+    # The atoms lie in [0, m.upper] (FiniteMeasure), so only x is checked:
+    # one comparison, which NaN fails, and x goes to _g as it is.
+    if not 0.0 <= x <= p.M:
+        raise OutOfRange(f"action {float(x)} outside [0, {p.M}]")
+    g = _g(p, x, np.asarray(m.support, dtype=float))
     return math.fsum((np.asarray(m.weights) * g).tolist())
 
 
@@ -158,6 +163,11 @@ def expected_objective_grid(p: ProblemSpec, xs: np.ndarray, m: FiniteMeasure) ->
     """Expected objective at every action of the 1-d array ``xs``, by one
     matrix product (rounded differently from :func:`expected_objective`)."""
     return objective(p, np.asarray(xs, dtype=float)[:, None], m.support) @ np.asarray(m.weights)
+
+
+def _check_measure(p: ProblemSpec, m: FiniteMeasure) -> None:
+    if m.upper > p.M:
+        raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
 
 
 def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
@@ -170,10 +180,9 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
     running sums screens the candidates' costs; only those within a proven
     rounding bound of the screened minimum are re-costed exactly with
     :func:`expected_objective`, so the action is the one an exact argmin
-    over all candidates returns, ties included.
+    over all candidates returns, ties included (:func:`_ski_optimum`).
     """
-    if m.upper > p.M:
-        raise OutOfRange(f"measure interval [0,{m.upper}] exceeds [0,{p.M}]")
+    _check_measure(p, m)
     if p.kind is ProblemKind.NEWSVENDOR:
         return quantile(m, p.critical_fractile)
     if p.kind is ProblemKind.PRICING:
@@ -185,6 +194,12 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
                 best_s, best_rev = s, rev
             remaining -= w
         return best_s
+    return _ski_optimum(p, m)[0]
+
+
+def _ski_optimum(p: ProblemSpec, m: FiniteMeasure) -> tuple[float, float]:
+    """The ski oracle's (action, exact cost): the cost is the
+    :func:`expected_objective` of the action, which the recost computed."""
     # Screen: the cost of x is E[xi; xi <= x] + (b + x) * P(xi > x), from
     # running sums.  An atom at 0 lies in the prefix of x = 0.
     b = p.b
@@ -217,7 +232,7 @@ def oracle(p: ProblemSpec, m: FiniteMeasure) -> float:
             c = expected_objective(p, x, m)
             if c < best_cost:
                 best_x, best_cost = x, c
-    return best_x
+    return best_x, best_cost
 
 
 def oracle_rows(p: ProblemSpec, W: np.ndarray, locs: np.ndarray) -> np.ndarray:
@@ -270,5 +285,11 @@ def _row_measure(row: np.ndarray, locs: np.ndarray, upper: float) -> FiniteMeasu
 
 
 def opt_value(p: ProblemSpec, m: FiniteMeasure) -> float:
-    """Expected objective of the oracle action."""
+    """Expected objective of the oracle action, bit for bit.  For ski rental
+    it is the exact cost that the oracle's recost already computed
+    (:func:`_ski_optimum`); newsvendor and pricing cost their action once
+    with :func:`expected_objective`."""
+    if p.kind is ProblemKind.SKI_RENTAL:
+        _check_measure(p, m)
+        return _ski_optimum(p, m)[1]
     return expected_objective(p, oracle(p, m), m)

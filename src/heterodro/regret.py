@@ -58,6 +58,18 @@ _COLUMNS_PER_COMPARE = 128
 # n x widest entries (about 2 ns each) cost less than one Python iteration
 # per distinct history object (about 5 us, or 2500 entries).
 _ENTRIES_PER_GROUP = 2500
+# Resource caps, checked before anything is allocated and far above every
+# shipped default (n = 10**4 histories, 2000 trials, family M <= 15):
+# * MAX_HISTORIES: `rates --mode monte-carlo` builds an n-long history list
+#   and monte_carlo_regret a few n-long arrays: 42 bytes per history at
+#   n = 10**5 (tracemalloc peak), about 42 MB at the cap.
+# * MAX_TRIALS: one 8-byte regret per trial, 8 MB at the cap.
+# * MAX_INDIFFERENCE_M: ski_indifference_measure holds up to M - 1 atoms in
+#   a dict, two lists and the measure, 100-170 bytes each (tracemalloc peak
+#   at M = 10**3-10**5): at most 17 MB.
+MAX_HISTORIES = 10**6
+MAX_TRIALS = 10**6
+MAX_INDIFFERENCE_M = 10**5
 
 
 class UnknownName(ValueError):
@@ -70,6 +82,10 @@ class InvalidBRange(ValueError):
 
 class GridTooLarge(ValueError):
     pass
+
+
+class TooLarge(ValueError):
+    """An input size above one of the resource caps."""
 
 
 class NoAnalyticBound(ValueError):
@@ -201,6 +217,8 @@ def monte_carlo_regret(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise TooLarge(f"trials = {trials} exceeds the cap {MAX_TRIALS}")
     n = len(nus)
     if n < 1:
         raise ValueError("need at least one historical measure")
@@ -244,7 +262,8 @@ def monte_carlo_regret(
             columns = [slice(None)]  # u[:] is a view: no gather
         else:
             by_group = np.argsort(group_of, kind="stable")
-            columns = np.split(by_group, np.cumsum(np.bincount(group_of))[:-1])
+            ends = np.cumsum(np.bincount(group_of)).tolist()
+            columns = [by_group[a:z] for a, z in itertools.pairwise([0, *ends])]
         plans = [
             (edges[: k - 1], idx_map[:k], cols)
             for k, edges, idx_map, cols in zip(sizes.tolist(), cum, union_idx, columns)
@@ -322,6 +341,8 @@ def ski_indifference_measure(M: int, b: int) -> FiniteMeasure:
     M, b = int(M), int(b)
     if not (2 <= b <= M - 1):
         raise InvalidBRange(f"need 2 <= b <= M-1, got b={b}, M={M}")
+    if M > MAX_INDIFFERENCE_M:
+        raise TooLarge(f"M = {M} exceeds the cap {MAX_INDIFFERENCE_M}")
     r = (b - 1) / b
     tails = {k: r ** (k - 1) for k in range(1, M - b + 1)}
     tail_M = r ** (M - b)  # = nu(M); constant tail across the gap

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,13 @@ from heterodro.measures import from_text, to_text
 from heterodro.metrics import DistanceKind
 from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro.problems import ProblemSpec
-from heterodro.regret import RegretReport, dro_regret_scan
+from heterodro.regret import (
+    MAX_HISTORIES,
+    MAX_INDIFFERENCE_M,
+    MAX_TRIALS,
+    RegretReport,
+    dro_regret_scan,
+)
 
 from conftest import reference_dro_regret_scan, reference_from_text
 
@@ -247,6 +254,36 @@ class TestCommands:
     def test_invalid_config_exits_2(self, capsys):
         assert main(["oracle", "--problem", "auction:1", "--measure", "0.5:1.0@1.0"]) == 2
         assert main(["distance", "--kind", "hellinger", "--a", "0:1@1", "--b", "0:1@1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["adversarial", "--name", "ski_k_saa_fail", "--params",
+              f"M={MAX_INDIFFERENCE_M + 1},b=3,eps=0.01"],
+             f"M = {MAX_INDIFFERENCE_M + 1} exceeds the cap {MAX_INDIFFERENCE_M}"),
+            (["rates", "--problem", "ski:3,10", "--kind", "k", "--mode", "monte-carlo",
+              "--eps-grid", "0.01,0.02", "--n", str(MAX_HISTORIES + 1)],
+             f"n = {MAX_HISTORIES + 1} exceeds the cap {MAX_HISTORIES}"),
+            (["rates", "--problem", "ski:3,10", "--kind", "k", "--mode", "monte-carlo",
+              "--eps-grid", "0.01,0.02", "--trials", str(MAX_TRIALS + 1)],
+             f"trials = {MAX_TRIALS + 1} exceeds the cap {MAX_TRIALS}"),
+        ],
+        ids=["indifference-M", "n", "trials"],
+    )
+    def test_size_above_cap_exits_2(self, capsys, argv, message):
+        # refused before the n-long history list, the trials array or the
+        # M-atom measure (8-17 MB at these sizes) is built
+        build_parser()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "problem, name",

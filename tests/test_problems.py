@@ -216,6 +216,23 @@ class TestExpectedObjective:
             via_cdf = ski_cost_from_cdf(SKI, x, m)
             assert direct == pytest.approx(via_cdf, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "x", [11, -1, 10.5, np.float64(-0.5), math.nan, math.nextafter(10.0, math.inf)],
+        ids=["int", "negative-int", "float", "float64", "nan", "M+ulp"],
+    )
+    def test_action_out_of_range(self, x):
+        # the reference text, with x printed as a float
+        m = ski_indifference_measure(10, 3)
+        with pytest.raises(OutOfRange) as info:
+            expected_objective(SKI, x, m)
+        assert str(info.value) == f"action {float(x)} outside [0, {SKI.M}]"
+
+    @pytest.mark.parametrize("p", [NV, PR, SKI], ids=["newsvendor", "pricing", "ski"])
+    def test_negative_zero_action(self, p):
+        m = make_finite_measure([0.0, 0.5 * p.M, p.M], [0.25, 0.5, 0.25], p.M)
+        assert expected_objective(p, -0.0, m) == expected_objective(p, 0.0, m)
+        assert expected_objective(p, -0.0, m) == reference_expected_objective(p, -0.0, m)
+
     def test_grid_kernel_matches_scalar(self, rng):
         xs = np.linspace(0, 1, 37)
         for p in (NV, PR):
@@ -363,6 +380,65 @@ class TestSkiOracleScreen:
             vals, counts = np.unique(xs, return_counts=True)
             m = make_finite_measure(vals.tolist(), (counts / len(xs)).tolist(), 250)
             assert oracle(p, m).hex() == reference_ski_oracle(p, m).hex()
+
+
+@st.composite
+def measured_problems(draw):
+    """A problem of each kind and a measure on [0, M]: atoms at 0.0, -0.0
+    and M drawn often, weights multiples of 1/n (so costs tie often)."""
+    p = draw(problems())
+    pts = draw(st.lists(points(p.M), min_size=1, max_size=12))
+    counts = draw(st.lists(st.integers(1, 10), min_size=len(pts), max_size=len(pts)))
+    return p, make_finite_measure(pts, [c / sum(counts) for c in counts], p.M)
+
+
+def costed_actions(fn, p, m):
+    """fn(p, m) and the actions expected_objective costed during the call."""
+    calls = []
+    real = heterodro.problems.expected_objective
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            heterodro.problems, "expected_objective",
+            lambda p, x, m: calls.append(x) or real(p, x, m),
+        )
+        value = fn(p, m)
+    return value, calls
+
+
+class TestOptValue:
+    """opt_value is the expected objective of oracle's action, bit for bit;
+    for ski rental it reuses the oracle's exact recost."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(measured_problems(), ski_instances()))
+    @example((SKI, ski_indifference_measure(10, 3)))
+    @example((SKI, make_finite_measure([-0.0, 0.0, 5.0], [0.25, 0.25, 0.5], 10.0)))
+    def test_matches_cost_of_oracle_action(self, instance):
+        p, m = instance
+        action, oracle_costed = costed_actions(oracle, p, m)
+        value, costed = costed_actions(opt_value, p, m)
+        assert value.hex() == expected_objective(p, action, m).hex()
+        # ski: once per candidate the oracle recosts, and no more; the
+        # other oracles cost nothing, so opt_value costs their action once
+        if p.kind is ProblemKind.SKI_RENTAL:
+            assert costed == oracle_costed and action in costed
+        else:
+            assert oracle_costed == [] and costed == [action]
+
+    @pytest.mark.parametrize("M", range(3, 16))
+    def test_ski_indifference_recosts_every_candidate_once(self, M):
+        # every candidate ties, so all survive the screen
+        for b in range(2, M):
+            p, m = ProblemSpec.ski_rental(b, M), ski_indifference_measure(M, b)
+            value, costed = costed_actions(opt_value, p, m)
+            assert costed == [0.0, *m.support]
+            assert value.hex() == expected_objective(p, oracle(p, m), m).hex()
+
+    def test_measure_beyond_problem_interval(self):
+        m = make_finite_measure([1.0, 12.0], [0.5, 0.5], 12.0)
+        for p in (NV, PR, SKI):
+            with pytest.raises(OutOfRange, match=r"measure interval \[0,12\.0\] exceeds"):
+                opt_value(p, m)
 
 
 # q = 1.0 exactly and q just below 1: a row whose running sum ends below q

@@ -39,10 +39,13 @@ from heterodro.regret import (
     EpsTooLarge,
     GridTooLarge,
     InvalidBRange,
+    MAX_INDIFFERENCE_M,
+    MAX_TRIALS,
     MissingParameter,
     Z95,
     RegretReport,
     ScanGrid,
+    TooLarge,
     UnknownName,
     adversarial_instance,
     analytic_bounds,
@@ -481,6 +484,37 @@ class TestIndifferenceMeasure:
             ski_indifference_measure(10, 1)
         with pytest.raises(InvalidBRange):
             ski_indifference_measure(10, 10)
+
+
+def assert_refused_unallocated(call, message):
+    """call() raises TooLarge with ``message`` having allocated under 64 KiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as info:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1 << 16
+
+
+class TestResourceCaps:
+    """Sizes just above a cap are refused before anything is allocated."""
+
+    def test_indifference_measure_M(self):
+        M = MAX_INDIFFERENCE_M + 1
+        assert_refused_unallocated(
+            lambda: ski_indifference_measure(M, 3), f"M = {M} exceeds the cap {MAX_INDIFFERENCE_M}"
+        )
+
+    def test_trials(self):
+        pair = adversarial_instance("ski_k_saa_fail", dict(eps=0.01))
+        T = MAX_TRIALS + 1
+        assert_refused_unallocated(
+            lambda: monte_carlo_regret(pair.problem, SAA, pair.mu, pair.nus, T, 0),
+            f"trials = {T} exceeds the cap {MAX_TRIALS}",
+        )
 
 
 class TestAdversarialInstances:
