@@ -163,13 +163,8 @@ def default_family(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec) -> str:
 
 
 def _family_params(p: ProblemSpec, kind: DistanceKind, eps: float, extra: dict) -> dict:
-    params: dict = {"eps": eps, "M": p.M, "kind": kind}
-    if p.kind is ProblemKind.NEWSVENDOR:
-        params.update(c_u=p.c_u, c_o=p.c_o)
-    elif p.kind is ProblemKind.SKI_RENTAL:
-        params.update(b=p.b)
-    params.update(extra)
-    return params
+    own = {key: getattr(p, key) for key in ("c_u", "c_o", "b") if getattr(p, key) is not None}
+    return {"eps": eps, "M": p.M, "kind": kind, **own, **extra}
 
 
 def default_scan_grid(p: ProblemSpec, kind: DistanceKind, pol: PolicySpec, eps: float) -> ScanGrid:
@@ -342,7 +337,8 @@ def _parse_params(specs: list[str]) -> dict:
                 raise ConfigInvalid(
                     f"parameter {key} must be a number, got {value!r}"
                 ) from None
-            _check_finite(f"parameter {key}", number)
+            if not math.isfinite(number):
+                raise ConfigInvalid(f"parameter {key} must be finite, got {number}")
             out[key] = number
     return out
 
@@ -358,9 +354,11 @@ def _numbers(option: str, text: str) -> list[float]:
     return out
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigInvalid(f"{name} must be finite, got {value}")
+def _check_radius(eps: float) -> None:
+    if not math.isfinite(eps):
+        raise ConfigInvalid(f"--eps must be finite, got {eps}")
+    if eps < 0.0:
+        raise ConfigInvalid(f"eps must be >= 0, got {eps}")
 
 
 def _violation(mode: str, report: RegretReport | None) -> bool:
@@ -515,7 +513,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "regret":
         if args.eps is not None:
-            _check_finite("--eps", args.eps)
+            _check_radius(args.eps)
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
         mu, nu = from_text(args.mu), from_text(args.nu)
@@ -530,7 +528,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         mode, pol_text, results = "regret", pol.to_text(), [(args.eps, report, "")]
 
     elif cmd == "dro-scan":
-        _check_finite("--eps", args.eps)
+        _check_radius(args.eps)
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
         kind = DistanceKind.from_text(args.kind)

@@ -12,6 +12,7 @@ matching analytic lower/upper bound pairs.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .approx import saa_diagnostic
 from .measures import MERGE_TOL, FiniteMeasure, _from_canonical, _renormalized, make_finite_measure
 from .metrics import BALL_SLACK, DistanceKind, distance_block, in_ball, location_columns, weights_on
 from .policies import (
+    EpsNonPositive,
     EpsTooLarge,
     PolicyKind,
     PolicySpec,
@@ -77,10 +79,6 @@ class UnknownName(ValueError):
 
 
 class InvalidBRange(ValueError):
-    pass
-
-
-class GridTooLarge(ValueError):
     pass
 
 
@@ -237,6 +235,9 @@ def monte_carlo_regret(
     sizes = np.array([len(nu.support) for nu in objects])
     points = itertools.chain.from_iterable(nu.support for nu in objects)
     union_arr, point_idx = np.unique(np.fromiter(points, float), return_inverse=True)
+    # Atoms of two histories within MERGE_TOL merge (one history's are apart).
+    merge = len(objects) > 1 and (np.diff(union_arr) <= MERGE_TOL).any()
+    empirical = make_finite_measure if merge else _from_canonical
     # Row g of the padded tables: group g's cumulative weights and union
     # indices.  cumsum adds along each row in order, so a row's leading
     # entries are the group's own np.cumsum, bit for bit.
@@ -289,9 +290,7 @@ def monte_carlo_regret(
                     k = np.searchsorted(edges, uc, side="right")
                     counts[idx_map] += np.bincount(k, minlength=len(idx_map))
         nz = counts > 0
-        m_hat = _from_canonical(
-            union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper
-        )
+        m_hat = empirical(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
         action = apply_policy(pol, p, m_hat)
         regrets[t] = abs(opt_mu - expected_objective(p, action, mu))
 
@@ -369,21 +368,29 @@ def _check_apart(lo: float, hi: float, tol: float, values: str, eps: float) -> N
         raise EpsTooLarge(f"need {values} more than {tol} apart, got eps={eps}")
 
 
-def _integer_param(params: dict, name: str, default: int | None = None) -> int:
-    """An integer-valued family parameter; a fractional value is an error,
-    never truncated into a different instance."""
-    value = params[name] if default is None else params.get(name, default)
-    if not (math.isfinite(value) and value == int(value)):
+def _integer(name: str, value: float) -> int:
+    """An integer-valued (finite) family parameter; a fractional value is an
+    error, never truncated into a different instance."""
+    if value != int(value):
         raise ValueError(f"parameter {name} must be an integer, got {value}")
     return int(value)
 
 
-def _build_nv_tv_pair(params: dict) -> AdversarialPair:
-    c_u = float(params.get("c_u", 1.0))
-    c_o = float(params.get("c_o", 1.0))
-    M = float(params.get("M", 1.0))
-    eps = float(params["eps"])
-    kind = params.get("kind", DistanceKind.TOTAL_VARIATION)
+# name -> (builder, the parameters of its signature, read once at import)
+_FAMILIES: dict[str, tuple] = {}
+_K, _TV = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION
+
+
+def _family(build):
+    """Register ``_build_<name>`` as the family ``<name>``."""
+    _FAMILIES[build.__name__.removeprefix("_build_")] = (build, inspect.signature(build).parameters)
+    return build
+
+
+@_family
+def _build_nv_tv_pair(
+    eps: float, c_u: float = 1.0, c_o: float = 1.0, M: float = 1.0, kind: DistanceKind = _TV
+) -> AdversarialPair:
     problem = ProblemSpec.newsvendor(c_u, c_o, M)
     q = problem.critical_fractile
     # eps is the ball radius in the requested distance; for two-point
@@ -409,10 +416,8 @@ def _build_nv_tv_pair(params: dict) -> AdversarialPair:
     )
 
 
-def _build_pr_k_pair(params: dict) -> AdversarialPair:
-    M = float(params.get("M", 1.0))
-    eps = float(params["eps"])
-    kind = params.get("kind", DistanceKind.KOLMOGOROV)
+@_family
+def _build_pr_k_pair(eps: float, M: float = 1.0, kind: DistanceKind = _K) -> AdversarialPair:
     if kind is DistanceKind.WASSERSTEIN:
         raise ValueError("pr_k_pair is a Kolmogorov/total-variation construction")
     if not (0.0 < eps <= 0.5):
@@ -433,10 +438,8 @@ def _build_pr_k_pair(params: dict) -> AdversarialPair:
     )
 
 
-def _build_pr_w_saa_fail(params: dict) -> AdversarialPair:
-    M = float(params.get("M", 1.0))
-    eps = float(params["eps"])
-    eta = float(params.get("eta", 1e-3))
+@_family
+def _build_pr_w_saa_fail(eps: float, M: float = 1.0, eta: float = 1e-3) -> AdversarialPair:
     if not 0.0 < eta < M:
         raise ValueError(f"need 0 < eta < M, got eta={eta}")
     if eps <= 0.0:
@@ -457,9 +460,8 @@ def _build_pr_w_saa_fail(params: dict) -> AdversarialPair:
     )
 
 
-def _build_pr_w_lower(params: dict) -> AdversarialPair:
-    M = float(params.get("M", 1.0))
-    eps = float(params["eps"])
+@_family
+def _build_pr_w_lower(eps: float, M: float = 1.0) -> AdversarialPair:
     if not (0.0 < eps <= M / 4.0):
         raise EpsTooLarge(f"need 0 < eps <= M/4 = {M / 4}, got {eps}")
     w = 2.0 * math.sqrt(eps / M)
@@ -479,12 +481,12 @@ def _build_pr_w_lower(params: dict) -> AdversarialPair:
     )
 
 
-def _build_ski_k_saa_fail(params: dict) -> AdversarialPair:
-    M = _integer_param(params, "M", 10)
-    b = _integer_param(params, "b", 3)
-    eps = float(params["eps"])
-    alpha = float(params.get("alpha", eps / 2.0))
-    kind = params.get("kind", DistanceKind.TOTAL_VARIATION)
+@_family
+def _build_ski_k_saa_fail(
+    eps: float, M: float = 10, b: float = 3, alpha: float | None = None, kind: DistanceKind = _TV
+) -> AdversarialPair:
+    M, b = _integer("M", M), _integer("b", b)
+    alpha = eps / 2.0 if alpha is None else alpha
     nu = ski_indifference_measure(M, b)
     nu_weight = dict(zip(nu.support, nu.weights))
     if not (0.0 < eps <= nu_weight[1.0]):
@@ -523,11 +525,11 @@ def _build_ski_k_saa_fail(params: dict) -> AdversarialPair:
     )
 
 
-def _build_ski_k_lower(params: dict) -> AdversarialPair:
-    b = float(params.get("b", 1.0))
-    eps = float(params["eps"])
-    M = float(params.get("M", 2.0 * b))
-    kind = params.get("kind", DistanceKind.TOTAL_VARIATION)
+@_family
+def _build_ski_k_lower(
+    eps: float, b: float = 1.0, M: float | None = None, kind: DistanceKind = _TV
+) -> AdversarialPair:
+    M = 2.0 * b if M is None else M
     if b < 1.0:
         raise InvalidBRange(f"need b >= 1, got {b}")
     if not (0.0 < eps <= 0.5):
@@ -550,10 +552,8 @@ def _build_ski_k_lower(params: dict) -> AdversarialPair:
     )
 
 
-def _build_ski_w_saa_fail(params: dict) -> AdversarialPair:
-    b = float(params.get("b", 2.0))
-    M = float(params.get("M", 10.0))
-    eps = float(params["eps"])
+@_family
+def _build_ski_w_saa_fail(eps: float, b: float = 2.0, M: float = 10.0) -> AdversarialPair:
     if M <= 2.0 * b:
         raise ValueError(f"need M > 2b, got M={M}, b={b}")
     if not (0.0 < eps < b / 4.0):
@@ -573,10 +573,9 @@ def _build_ski_w_saa_fail(params: dict) -> AdversarialPair:
     )
 
 
-def _build_ski_w_lower(params: dict) -> AdversarialPair:
-    b = float(params.get("b", 1.0))
-    M = float(params.get("M", 4.0 * b))
-    eps = float(params["eps"])
+@_family
+def _build_ski_w_lower(eps: float, b: float = 1.0, M: float | None = None) -> AdversarialPair:
+    M = 4.0 * b if M is None else M
     if b < 1.0:
         raise InvalidBRange(f"need b >= 1, got {b}")
     if not (0.0 < eps <= b / 4.0):
@@ -602,8 +601,9 @@ def _build_ski_w_lower(params: dict) -> AdversarialPair:
     )
 
 
-def _build_hetero_helps(params: dict) -> AdversarialPair:
-    k = _integer_param(params, "k")
+@_family
+def _build_hetero_helps(k: float) -> AdversarialPair:
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     b = 2 * k + 1
@@ -621,46 +621,47 @@ def _build_hetero_helps(params: dict) -> AdversarialPair:
     )
 
 
-# Every parameter name some family reads; any other key is a typo, never
-# silently ignored.
-_FAMILY_PARAMS = frozenset({"M", "eps", "kind", "c_u", "c_o", "b", "eta", "alpha", "k"})
-
-_FAMILIES = {
-    "nv_tv_pair": _build_nv_tv_pair,
-    "pr_k_pair": _build_pr_k_pair,
-    "pr_w_saa_fail": _build_pr_w_saa_fail,
-    "pr_w_lower": _build_pr_w_lower,
-    "ski_k_saa_fail": _build_ski_k_saa_fail,
-    "ski_k_lower": _build_ski_k_lower,
-    "ski_w_saa_fail": _build_ski_w_saa_fail,
-    "ski_w_lower": _build_ski_w_lower,
-    "hetero_helps": _build_hetero_helps,
-}
+# What every pair carries: a given value of one of these keys is checked
+# against the built pair, whether or not the family reads it.
+_PROBLEM_KEYS = ("M", "c_u", "c_o", "b")
+_CARRIED = frozenset({"eps", "kind", *_PROBLEM_KEYS})
+# Every parameter name some family reads or checks; any other key is a
+# typo, never silently ignored.
+_FAMILY_PARAMS = _CARRIED.union(*(reads for _, reads in _FAMILIES.values()))
 
 
 def adversarial_instance(name: str, params: dict) -> AdversarialPair:
     """Build a named adversarial construction; see _FAMILIES for the list.
 
     Raises UnknownName, ValueError for an unknown or a non-finite numeric
-    parameter (MissingParameter for a missing one), EpsTooLarge when eps
-    violates the construction's validity condition (outside it the measures
-    would not be measures or the target formula would not hold), or
-    FamilyMismatch when the built pair's eps, kind, M, c_u, c_o or b differs
-    from a given one (a family ignores or fixes some of them).
+    parameter or one the family neither reads nor carries (MissingParameter
+    for a missing one), EpsTooLarge when eps violates the construction's
+    validity condition (outside it the measures would not be measures or
+    the target formula would not hold), or FamilyMismatch when the built
+    pair's eps, kind, M, c_u, c_o or b differs from a given one (a family
+    ignores or fixes some of them).  Numbers reach the builder as floats.
     """
     if name not in _FAMILIES:
         raise UnknownName(f"unknown adversarial family {name!r}")
+    build, reads = _FAMILIES[name]
+    kwargs = {}
     for key, value in params.items():
         if key not in _FAMILY_PARAMS:
             raise ValueError(f"unknown parameter {key!r}")
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            raise ValueError(f"parameter {key} must be finite, got {value}")
-    try:
-        pair = _FAMILIES[name](dict(params))
-    except KeyError as exc:
-        raise MissingParameter(f"family {name!r} requires parameter {exc.args[0]!r}") from exc
+        if key not in reads and key not in _CARRIED:
+            raise ValueError(f"family {name!r} does not read parameter {key!r}")
+        if key != "kind":
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {key} must be finite, got {value}")
+        if key in reads:
+            kwargs[key] = value
+    for key, param in reads.items():
+        if param.default is param.empty and key not in kwargs:
+            raise MissingParameter(f"family {name!r} requires parameter {key!r}")
+    pair = build(**kwargs)
     built = {"eps": pair.eps, "kind": pair.kind}
-    built.update((key, getattr(pair.problem, key)) for key in ("M", "c_u", "c_o", "b"))
+    built.update((key, getattr(pair.problem, key)) for key in _PROBLEM_KEYS)
     for key, value in params.items():
         if key in built and built[key] != value:
             shown = [getattr(v, "value", v) for v in (built[key], value)]
@@ -893,7 +894,7 @@ def dro_regret_scan(
         raise ValueError(f"eps must be >= 0, got {eps}")
     n = grid.measure_count
     if n * n > grid.max_pairs:
-        raise GridTooLarge(f"{n * n} pairs exceed the cap {grid.max_pairs}")
+        raise TooLarge(f"{n * n} pairs exceed the cap {grid.max_pairs}")
     W = grid_weight_rows(grid, p.M)
     locs = np.asarray(grid.locations, dtype=float)
     gaps = np.append(locs[1:], p.M) - locs
@@ -1083,6 +1084,6 @@ def bounds_for_policy(
             or (pol.kind is PolicyKind.CAPPED and abs(pol.cap - rec.cap) <= 1e-12)
         ):
             return analytic_bounds(p, kind, "best", eps)
-    except (EpsTooLarge, NoAnalyticBound, ValueError):
+    except (EpsTooLarge, EpsNonPositive, NoAnalyticBound):
         return None, None
     return None, None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from heterodro import cli
+from heterodro import cli, regret
 from heterodro.cli import (
     CSV_HEADER,
     ConfigInvalid,
@@ -44,6 +44,13 @@ from heterodro.regret import (
 from conftest import reference_dro_regret_scan, reference_from_text
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
+# Each family with a problem it builds, and the one of eta, alpha, k it reads.
+FAMILY_PROBLEM = {
+    "nv_tv_pair": "newsvendor:1,1,1", "pr_k_pair": "pricing:1", "pr_w_saa_fail": "pricing:1",
+    "pr_w_lower": "pricing:1", "ski_k_saa_fail": "ski:3,10", "ski_k_lower": "ski:1,2",
+    "ski_w_saa_fail": "ski:2,10", "ski_w_lower": "ski:1,4", "hetero_helps": "ski:3,5",
+}
+FAMILY_READS = {"pr_w_saa_fail": "eta", "ski_k_saa_fail": "alpha", "hetero_helps": "k"}
 
 
 def csv_to_rows(text):
@@ -619,6 +626,63 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: unknown parameter {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(name, key) for name in FAMILY_PROBLEM for key in ("eta", "alpha", "k")
+         if FAMILY_READS.get(name) != key],
+    )
+    @pytest.mark.parametrize("command", ["adversarial", "rates"])
+    def test_key_the_family_does_not_read_exits_2(self, capsys, command, name, key):
+        # eta, alpha and k are each read by one family; given to another,
+        # the command fails, never builds a pair that ignored it
+        if command == "adversarial":
+            own = "k=2" if name == "hetero_helps" else "eps=0.01"
+            argv = ["adversarial", "--name", name, "--params", f"{own},{key}=1"]
+        else:
+            argv = ["rates", "--problem", FAMILY_PROBLEM[name], "--kind", "tv", "--policy", "saa",
+                    "--eps-grid", "0.01,0.02", "--family", name, "--params", f"{key}=1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family {name!r} does not read parameter {key!r}\n"
+
+    def test_first_unread_key_is_named(self, capsys):
+        argv = ["adversarial", "--name", "nv_tv_pair", "--params", "eps=0.1,eta=0.5,alpha=3,k=7"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: family 'nv_tv_pair' does not read parameter 'eta'\n"
+
+    @pytest.mark.parametrize("command", ["regret", "dro-scan"])
+    @pytest.mark.parametrize("eps", ["-0.5", "-1e-300"])
+    def test_negative_eps_exits_2(self, capsys, command, eps):
+        argv = [command, "--problem", "pricing:1", "--policy", "dsaa:0.1", "--kind", "w",
+                f"--eps={eps}"]
+        if command == "regret":
+            argv += ["--mu", "0.5:1@1", "--nu", "0.5:1@1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: eps must be >= 0, got {float(eps)}\n"
+
+    def test_regret_at_zero_eps_has_no_bounds(self, capsys):
+        argv = ["regret", "--problem", "pricing:1", "--policy", "saa", "--kind", "k",
+                "--eps", "0", "--mu", "0.5:1@1", "--nu", "0.5:1@1"]
+        assert main(argv) == 0
+        (row,) = csv_to_rows(capsys.readouterr().out)
+        assert (row["eps"], row["analytic_lo"], row["analytic_hi"]) == ("0", "", "")
+
+    def test_bound_error_other_than_a_range_exits_2(self, capsys, monkeypatch):
+        # only EpsTooLarge, EpsNonPositive and NoAnalyticBound mean "no bound"
+        def broken(*args):
+            raise ValueError("broken bound")
+
+        monkeypatch.setattr(regret, "analytic_bounds", broken)
+        argv = ["regret", "--problem", "pricing:1", "--policy", "saa", "--kind", "k",
+                "--eps", "0.1", "--mu", "0.5:1@1", "--nu", "0.5:1@1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: broken bound\n"
 
     @pytest.mark.parametrize(
         "problem, key, value, own",

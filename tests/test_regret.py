@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heterodro.approx import saa_diagnostic
-from heterodro.measures import MERGE_TOL, _from_canonical, _renormalized, make_finite_measure
+from heterodro.measures import MERGE_TOL, _renormalized, make_finite_measure, to_text
 from heterodro.metrics import (
     BALL_SLACK,
     DistanceKind,
@@ -37,7 +37,6 @@ from heterodro.problems import (
 from heterodro.regret import (
     AdversarialPair,
     EpsTooLarge,
-    GridTooLarge,
     InvalidBRange,
     MAX_INDIFFERENCE_M,
     MAX_TRIALS,
@@ -74,6 +73,10 @@ from conftest import (
 
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
 SAA = PolicySpec.saa()
+FAMILIES = [
+    "nv_tv_pair", "pr_k_pair", "pr_w_saa_fail", "pr_w_lower", "ski_k_saa_fail", "ski_k_lower",
+    "ski_w_saa_fail", "ski_w_lower", "hetero_helps",
+]
 
 
 def delta(p, upper):
@@ -139,7 +142,7 @@ def reference_monte_carlo_regret(p, pol, mu, nus, trials, seed):
             sample_idx[cols] = idx_map[k]
         counts = np.bincount(sample_idx, minlength=len(union))
         nz = counts > 0
-        m_hat = _from_canonical(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
+        m_hat = make_finite_measure(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
         action = apply_policy(pol, p, m_hat)
         regrets[t] = abs(opt_mu - expected_objective(p, action, mu))
     ci = float(Z95 * regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -397,6 +400,22 @@ class TestMonteCarlo:
         assert exact > 0.0
         assert abs(rep.estimate - exact) <= 3 * rep.ci_half_width + 1.0 / math.sqrt(n)
 
+    def test_atoms_within_merge_tol_merge(self, monkeypatch):
+        # Two histories with atoms at 0.3 and at the next double: every
+        # empirical measure is canonical, with one atom at 0.3.
+        near = [make_finite_measure([x, 1.0], [0.5, 0.5], 1.0) for x in (0.3, np.nextafter(0.3, 1))]
+        nus = near * 5
+        seen = []
+        monkeypatch.setattr(
+            regret, "apply_policy", lambda pol, p, m: seen.append(m) or apply_policy(pol, p, m)
+        )
+        p = ProblemSpec.newsvendor(1.0, 2.0, 1.0)
+        monte_carlo_regret(p, SAA, near[0], nus, 20, 0)
+        assert {m.support for m in seen} == {(0.3, 1.0)}
+        assert all(m == make_finite_measure(m.support, m.weights, m.upper) for m in seen)
+        monkeypatch.undo()
+        assert_matches_reference(p, SAA, near[0], nus, 20, 0)
+
     def test_history_interval_must_match_mu(self):
         p = ProblemSpec.ski_rental(3, 10)
         with pytest.raises(ValueError, match="historical measure on"):
@@ -575,6 +594,61 @@ class TestAdversarialInstances:
     def test_missing_parameter(self):
         with pytest.raises(MissingParameter, match="requires parameter"):
             adversarial_instance("pr_k_pair", dict())
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_missing_required_parameter_is_named(self, name):
+        key = "k" if name == "hetero_helps" else "eps"
+        with pytest.raises(MissingParameter) as exc:
+            adversarial_instance(name, dict(M=10.0))
+        assert str(exc.value) == f"family {name!r} requires parameter {key!r}"
+
+    def test_family_keys_come_from_the_builders(self):
+        assert regret._FAMILY_PARAMS == {"M", "eps", "kind", "c_u", "c_o", "b", "eta", "alpha", "k"}
+        assert list(regret._FAMILIES) == FAMILIES
+        reads = {name: set(reads) for name, (_, reads) in regret._FAMILIES.items()}
+        assert reads["nv_tv_pair"] == {"eps", "c_u", "c_o", "M", "kind"}
+        assert reads["ski_k_saa_fail"] == {"eps", "M", "b", "alpha", "kind"}
+        assert reads["hetero_helps"] == {"k"}
+
+    @pytest.mark.parametrize(
+        "name, params, target, atoms",
+        [
+            ("pr_w_saa_fail", dict(eps=0.01, eta=0.002), 0.998, ["0.998:1.0@1.0", "1.0:1.0@1.0"]),
+            ("hetero_helps", dict(k=2), 4.0, ["3.0:1.0@8.0", "2.0:1.0@8.0", "8.0:1.0@8.0"]),
+        ],
+    )
+    def test_family_specific_key_is_read(self, name, params, target, atoms):
+        pair = adversarial_instance(name, params)
+        assert pair.target == target
+        assert [to_text(m) for m in (pair.mu, *pair.nus)] == atoms
+
+    def test_ski_k_saa_fail_reads_alpha(self):
+        pair = adversarial_instance("ski_k_saa_fail", dict(eps=0.1, alpha=0.02))
+        assert pair.target == 0.1 * 9 - 0.02 * 7 == 0.76
+        # alpha mass moved from M down to 0
+        assert pair.nus[0].support[0] == 0.0 and pair.nus[0].weights[0] == 0.02
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("nv_tv_pair", dict(eps=0.1, c_u=1, c_o=3, M=2)),
+            ("ski_k_lower", dict(eps=0.1, b=2, M=5)),
+            ("ski_k_saa_fail", dict(eps=0.1, b=3, M=10)),
+            ("pr_w_saa_fail", dict(eps=1, M=4, eta=1)),
+        ],
+    )
+    def test_integer_values_build_the_float_pair(self, name, params):
+        # the values a pair carries stay floats, so the CSV bytes do not move
+        floats = {key: float(value) for key, value in params.items()}
+        assert repr(adversarial_instance(name, params)) == repr(adversarial_instance(name, floats))
+
+    def test_key_error_inside_a_family_is_not_a_missing_parameter(self, monkeypatch):
+        def broken(M, b):
+            raise KeyError("M")
+
+        monkeypatch.setattr(regret, "ski_indifference_measure", broken)
+        with pytest.raises(KeyError):
+            adversarial_instance("ski_k_saa_fail", dict(eps=0.1))
 
     def test_ball_invariant_enforced(self):
         with pytest.raises(ValueError, match="ball"):
@@ -922,7 +996,7 @@ class TestScan:
 
     def test_grid_too_large(self):
         grid = ScanGrid((0.0, 0.5, 1.0), weight_resolution=100, max_atoms=2, max_pairs=100)
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(TooLarge):
             dro_regret_scan(ProblemSpec.pricing(1), SAA, K, 0.1, grid)
 
     def test_enumeration_counts(self):
@@ -976,7 +1050,7 @@ class TestScan:
         grid = ScanGrid((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), weight_resolution=20, max_atoms=4)
         n = 18_246
         assert grid.measure_count == n
-        with pytest.raises(GridTooLarge, match=rf"^{n * n} pairs exceed the cap 10000000$"):
+        with pytest.raises(TooLarge, match=rf"^{n * n} pairs exceed the cap 10000000$"):
             dro_regret_scan(ProblemSpec.pricing(1), SAA, K, 0.1, grid)
 
     def test_vectorized_distances_match_metrics(self, rng):
@@ -1400,6 +1474,17 @@ class TestAnalyticBounds:
         assert bounds_for_policy(p, W, rec, 0.04) == pytest.approx((0.05, 0.8))
         assert bounds_for_policy(p, W, SAA, 0.04) == (1.0, 1.0)
         assert bounds_for_policy(p, W, PolicySpec.delta_saa(-0.123), 0.04) == (None, None)
+        assert bounds_for_policy(p, W, rec, 0.0) == (None, None)  # EpsNonPositive
+        assert bounds_for_policy(p, W, SAA, 2.0) == (1.0, 1.0)
+        assert bounds_for_policy(p, K, SAA, 0.6) == (None, None)  # EpsTooLarge
+
+    def test_bounds_for_policy_surfaces_other_errors(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken bound")
+
+        monkeypatch.setattr(regret, "analytic_bounds", broken)
+        with pytest.raises(ValueError, match="^broken bound$"):
+            bounds_for_policy(ProblemSpec.pricing(1), K, SAA, 0.1)
 
 
 class TestHeterogeneityHelps:
