@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import from_text, to_text
-from .metrics import DistanceKind, distance
+from .metrics import DistanceKind, distance, in_ball
 from .policies import EpsTooLarge, PolicyKind, PolicySpec, recommended_parameter
 from .problems import ProblemKind, ProblemSpec, expected_objective, oracle
 from .regret import (
@@ -123,8 +123,9 @@ class ExperimentConfig:
         for e in self.eps_grid:
             if not 0.0 < e < math.inf:
                 raise ConfigInvalid(f"eps_grid values must be finite and positive, got {e}")
-        if list(self.eps_grid) != sorted(self.eps_grid):
-            raise ConfigInvalid("eps_grid must be sorted ascending")
+        for lo, hi in zip(self.eps_grid, self.eps_grid[1:]):
+            if not lo < hi:
+                raise ConfigInvalid(f"eps_grid must be strictly increasing, got {hi} after {lo}")
         if self.n < 1 or self.trials < 1:
             raise ConfigInvalid("n and trials must be >= 1")
         caps = (("n", self.n, MAX_HISTORIES), ("trials", self.trials, MAX_TRIALS))
@@ -339,6 +340,8 @@ def _parse_params(specs: list[str]) -> dict:
                 ) from None
             if not math.isfinite(number):
                 raise ConfigInvalid(f"parameter {key} must be finite, got {number}")
+            if key in out:
+                raise ConfigInvalid(f"parameter {key} is given twice")
             out[key] = number
     return out
 
@@ -517,8 +520,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         p = ProblemSpec.from_text(args.problem)
         pol = PolicySpec.from_text(args.policy)
         mu, nu = from_text(args.mu), from_text(args.nu)
-        estimate = exact_regret(p, pol, mu, nu)
         kind = DistanceKind.from_text(args.kind) if args.kind else None
+        # the bounds cover only pairs inside the ball
+        if args.strict and kind is not None and args.eps is not None:
+            if not in_ball(mu, nu, kind, args.eps):
+                raise ConfigInvalid(
+                    f"--strict: nu lies at {kind.short()} distance "
+                    f"{distance(kind, mu, nu):.12g} from mu, outside the eps = {args.eps:.12g} ball"
+                )
+        estimate = exact_regret(p, pol, mu, nu)
         lo = hi = None
         if kind is not None and args.eps is not None:
             lo, hi = bounds_for_policy(p, kind, pol, args.eps)

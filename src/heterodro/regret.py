@@ -945,7 +945,7 @@ def dro_regret_scan(
     # changes, and blocks whose bound is below best hold no such pair.  D may
     # differ from the scalar distance in the last bit, so a pair on the
     # ball's edge can pass here and fail in_ball: each new best is certified,
-    # except for K, whose D on grid rows is kolmogorov's bit for bit (both
+    # except for K, whose D on grid rows is distance's bit for bit (both
     # cumsum the same weights in the same order; the grid's zeros add +0.0).
     def certified(q: tuple[int, int]) -> bool:
         return kind is DistanceKind.KOLMOGOROV or in_ball(measure(q[0]), measure(q[1]), kind, eps)

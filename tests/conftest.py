@@ -17,13 +17,7 @@ from heterodro.measures import (
     WeightsNotNormalized,
     make_finite_measure,
 )
-from heterodro.metrics import (
-    BALL_SLACK,
-    DistanceKind,
-    _check_same_interval,
-    distance_terms,
-    weights_on,
-)
+from heterodro.metrics import BALL_SLACK, DistanceKind, MismatchedInterval, weights_on
 from heterodro.policies import policy_action
 from heterodro.problems import (
     ProblemKind,
@@ -106,6 +100,19 @@ def mix(a, b, lam):
 # must give the same fields, bit for bit, and the same errors.
 
 
+def distance_terms(
+    kind: DistanceKind, wa: np.ndarray, wb: np.ndarray, gaps: np.ndarray | None
+) -> np.ndarray:
+    """Per-location terms of d(a, b) from aligned weight rows (see the metrics
+    docstring); rows broadcast, so one pair and a block of pairs share them.
+    ``gaps`` (each location's distance to the next, or to ``upper``) is
+    read for W1 only."""
+    if kind is DistanceKind.TOTAL_VARIATION:
+        return np.abs(wa - wb)
+    dF = np.abs(np.cumsum(wa, axis=-1) - np.cumsum(wb, axis=-1))
+    return dF * gaps if kind is DistanceKind.WASSERSTEIN else dF
+
+
 def reference_renormalized(weights):
     """The reference for ``measures._renormalized``."""
     total = math.fsum(weights)
@@ -175,9 +182,10 @@ def reference_from_text(text):
 
 
 def reference_pair_terms(kind, a, b):
-    """The reference for ``metrics._pair_terms``: ``np.unique``, then
-    ``weights_on``."""
-    _check_same_interval(a, b)
+    """The per-location terms that ``metrics.distance`` reduces: ``np.unique``,
+    then ``weights_on`` and ``distance_terms``."""
+    if a.upper != b.upper:
+        raise MismatchedInterval(f"measures live on [0,{a.upper}] vs [0,{b.upper}]")
     locs = np.unique(np.array(a.support + b.support))
     wa, wb = weights_on((a, b), locs)
     return distance_terms(kind, wa, wb, np.append(locs[1:], a.upper) - locs)

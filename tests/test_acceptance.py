@@ -13,15 +13,7 @@ import pytest
 
 from heterodro.cli import default_scan_grid, fit_rate, main
 from heterodro.measures import make_finite_measure
-from heterodro.metrics import (
-    DistanceKind,
-    distance,
-    distance_terms,
-    kolmogorov,
-    total_variation,
-    wasserstein1,
-    weights_on,
-)
+from heterodro.metrics import DistanceKind, distance, weights_on
 from heterodro.policies import PolicySpec, recommended_parameter
 from heterodro.problems import (
     ProblemSpec,
@@ -42,6 +34,7 @@ from heterodro.regret import (
 
 from conftest import (
     bernstein_error_check,
+    distance_terms,
     empirical_from,
     enumerate_grid_measures,
     hetero_helps_homogeneous_max,
@@ -188,8 +181,8 @@ def test_criterion_09_metric_suite():
                 lhs = distance(kind, blend, b)
                 assert lhs <= lam * dab + (1 - lam) * distance(kind, c, b) + 1e-9
             M = a.upper
-            assert wasserstein1(a, b) <= M * kolmogorov(a, b) + 1e-9
-            assert M * kolmogorov(a, b) <= M * total_variation(a, b) + 1e-9
+            assert distance(W, a, b) <= M * distance(K, a, b) + 1e-9
+            assert M * distance(K, a, b) <= M * distance(TV, a, b) + 1e-9
 
         # triangular arrays: one draw from each of n distinct measures in a
         # Kolmogorov eps-ball; empirical vs row-average within the DKW band
@@ -203,7 +196,7 @@ def test_criterion_09_metric_suite():
             for seed in range(100):
                 u = np.random.default_rng(seed).random(n)
                 emp = empirical_from((u < ps).astype(float).tolist(), 1.0)
-                if kolmogorov(emp, row_avg) > bound:
+                if distance(K, emp, row_avg) > bound:
                     failures += 1
             assert failures <= 3
 

@@ -719,6 +719,37 @@ class TestCommands:
         assert captured.err == "error: parameter eps is set by --eps-grid\n"
 
     @pytest.mark.parametrize(
+        "command, params, key",
+        [
+            ("adversarial", ["--params", "eps=0.1,eps=0.2"], "eps"),
+            ("adversarial", ["--params", "eps=0.1", "--params", "eps=0.1"], "eps"),
+            ("rates", ["--params", "c_u=1,c_u=1"], "c_u"),
+            ("rates", ["--params", "M=1", "--params", "c_o=1,M=1"], "M"),
+        ],
+        ids=["adversarial", "adversarial-across", "rates", "rates-across"],
+    )
+    def test_repeated_params_key_exits_2(self, capsys, command, params, key):
+        # a key given twice, in one --params or across two, never keeps the last
+        if command == "adversarial":
+            argv = ["adversarial", "--name", "nv_tv_pair", *params]
+        else:
+            argv = ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k",
+                    "--eps-grid", "0.01,0.02", *params]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter {key} is given twice\n"
+
+    @pytest.mark.parametrize("grid", ["0.01,0.01,0.02", "0.01,0.02,0.02"])
+    def test_repeated_eps_exits_2(self, capsys, grid):
+        # a repeated eps would print its row twice and weigh it twice in the fit
+        argv = ["rates", "--problem", "newsvendor:1,1,1", "--kind", "k", "--eps-grid", grid]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps_grid must be strictly increasing, got ")
+
+    @pytest.mark.parametrize(
         "problem, params",
         [("newsvendor:2,1,1", "c_u=2,c_o=1.0,M=1"), ("ski:3,10", "b=3,M=10"), ("pricing:1", "M=1")],
     )
@@ -760,6 +791,22 @@ class TestCommands:
             ]
         )
         assert code == 3
+
+    def test_strict_pair_outside_the_ball_exits_2(self, capsys):
+        # the bounds cover only pairs in the ball; nu is at K distance 1
+        argv = ["regret", "--problem", "newsvendor:1,1,1", "--policy", "saa",
+                "--mu", "0:1@1", "--nu", "1:1@1", "--kind", "k", "--eps", "0.05"]
+        assert main(argv + ["--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --strict: nu lies at kolmogorov distance 1 from mu, "
+            "outside the eps = 0.05 ball\n"
+        )
+        # without --strict the row is printed as before
+        assert main(argv) == 0
+        (row,) = csv_to_rows(capsys.readouterr().out)
+        assert (row["regret_est"], row["analytic_hi"]) == ("1", "0.1")
 
     @pytest.mark.parametrize(
         "name, params",

@@ -17,7 +17,7 @@ from heterodro.measures import (
     quantile,
     to_text,
 )
-from heterodro.metrics import kolmogorov
+from heterodro.metrics import DistanceKind, distance
 
 from conftest import (
     cdf,
@@ -158,7 +158,7 @@ class TestSampling:
     def test_empirical_close_in_kolmogorov(self):
         m = make_finite_measure([0, 1], [0.5, 0.5], 1)
         emp = empirical_from(sample(m, 99, 10_000), 1)
-        assert kolmogorov(emp, m) <= 0.03
+        assert distance(DistanceKind.KOLMOGOROV, emp, m) <= 0.03
 
     def test_dkw_convergence_over_seeds(self):
         # DKW at 99% confidence: d_K <= 1.63/sqrt(n), doubled for slack;
@@ -167,7 +167,7 @@ class TestSampling:
         n = 10_000
         bound = 2 * 1.63 / math.sqrt(n)
         failures = sum(
-            kolmogorov(empirical_from(sample(m, seed, n), 1), m) > bound
+            distance(DistanceKind.KOLMOGOROV, empirical_from(sample(m, seed, n), 1), m) > bound
             for seed in range(100)
         )
         assert failures <= 3

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import heterodro.problems
 from heterodro.cli import default_scan_grid
 from heterodro.measures import make_finite_measure
-from heterodro.metrics import DistanceKind, wasserstein1, weights_on
+from heterodro.metrics import DistanceKind, distance, weights_on
 from heterodro.problems import (
     OutOfRange,
     ProblemKind,
@@ -581,7 +581,7 @@ class TestStructuralInequalities:
             x1, x2 = sorted(rng.uniform(0, 1, size=2))
             if x2 - x1 < 1e-6:
                 continue
-            dw = wasserstein1(a, b)
+            dw = distance(DistanceKind.WASSERSTEIN, a, b)
             assert cdf(a, x1) <= cdf(b, x2) + dw / (x2 - x1) + 1e-9
 
     def test_pricing_revenue_shift(self, rng):
@@ -591,7 +591,7 @@ class TestStructuralInequalities:
             x1, x2 = sorted(rng.uniform(0, 1, size=2))
             if x2 - x1 < 1e-6:
                 continue
-            dw = wasserstein1(a, b)
+            dw = distance(DistanceKind.WASSERSTEIN, a, b)
             lhs = expected_objective(PR, x2, b) - expected_objective(PR, x1, a)
             assert lhs <= (x2 - x1) + 1.0 * dw / (x2 - x1) + 1e-9
 
@@ -602,7 +602,7 @@ class TestStructuralInequalities:
             x1, x2 = sorted(rng.uniform(0, 10, size=2))
             if x2 - x1 < 1e-6:
                 continue
-            dw = wasserstein1(a, b)
+            dw = distance(DistanceKind.WASSERSTEIN, a, b)
             lhs = expected_objective(SKI, x2, a) - expected_objective(SKI, x1, b)
             assert lhs <= SKI.b * dw / (x2 - x1) + dw + (x2 - x1) + 1e-9
 

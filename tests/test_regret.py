@@ -16,12 +16,8 @@ from heterodro.metrics import (
     DistanceKind,
     distance,
     distance_block,
-    distance_terms,
     in_ball,
-    kolmogorov,
     location_columns,
-    total_variation,
-    wasserstein1,
     weights_on,
 )
 from heterodro.policies import PolicySpec, apply_policy, recommended_parameter
@@ -61,6 +57,7 @@ from heterodro.regret import (
 
 from conftest import (
     cdf,
+    distance_terms,
     enumerate_grid_measures,
     exact_fixed_action_minimax,
     hetero_helps_homogeneous_max,
@@ -539,16 +536,16 @@ class TestResourceCaps:
 class TestAdversarialInstances:
     def test_nv_tv_pair_distance(self):
         pair = adversarial_instance("nv_tv_pair", dict(c_u=1, c_o=1, M=1, eps=0.1))
-        assert total_variation(pair.mu, pair.nus[0]) == pytest.approx(0.1, abs=1e-12)
+        assert distance(TV, pair.mu, pair.nus[0]) == pytest.approx(0.1, abs=1e-12)
         assert evaluate_pair(pair) == pytest.approx(pair.target, abs=1e-12)
 
     def test_pr_w_lower_distance_is_eps(self):
         pair = adversarial_instance("pr_w_lower", dict(M=1, eps=0.04))
-        assert wasserstein1(pair.mu, pair.nus[0]) == pytest.approx(0.04, abs=1e-12)
+        assert distance(W, pair.mu, pair.nus[0]) == pytest.approx(0.04, abs=1e-12)
 
     def test_ski_w_lower_distance_is_eps(self):
         pair = adversarial_instance("ski_w_lower", dict(b=1, M=10, eps=0.04))
-        assert wasserstein1(pair.mu, pair.nus[0]) == pytest.approx(0.04, abs=1e-12)
+        assert distance(W, pair.mu, pair.nus[0]) == pytest.approx(0.04, abs=1e-12)
 
     def test_hetero_helps_shape(self):
         pair = adversarial_instance("hetero_helps", dict(k=5))
@@ -1294,7 +1291,7 @@ class TestScan:
     def test_block_distances_without_all_zero_locations(self, case, kind, seed):
         # At a location where every row agrees (or a W1 gap is 0) each term
         # is +0.0, so the scan drops it and D stays bit for bit; and on grid
-        # rows block K is the scalar kolmogorov, so the scan takes K pairs
+        # rows block K is the scalar distance(K, ...), so the scan takes K pairs
         # without in_ball.
         grid, upper = case
         rows = grid_weight_rows(grid, upper)
@@ -1310,7 +1307,7 @@ class TestScan:
             ms = [_row_measure(row, locs, upper) for row in rows]
             pairs = np.random.default_rng(seed).integers(len(ms), size=(200, 2)).tolist()
             for i, j in pairs + [[0, len(ms) - 1]]:
-                assert float(D[i, j]).hex() == kolmogorov(ms[i], ms[j]).hex()
+                assert float(D[i, j]).hex() == distance(K, ms[i], ms[j]).hex()
 
     @pytest.mark.parametrize("entries", [1, 5, 64])
     @pytest.mark.parametrize(

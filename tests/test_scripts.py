@@ -2,7 +2,8 @@
 
 ``tests/data/<script>.stdout`` holds each script's stdout with default
 arguments, ``tests/data/dro_scan.stdout`` the scan commands below and
-``tests/data/cli_rows.stdout`` the row commands below; a change that moves
+``tests/data/cli_rows.stdout`` the row commands below and
+``tests/data/distance.stdout`` the distance commands below; a change that moves
 any number there must re-record the file and say which numbers moved and
 why."""
 
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heterodro.cli import main
@@ -102,3 +104,40 @@ def test_row_commands_stdout_matches_recorded():
             code = main(argv)
         out.write("$ hetero-dro " + " ".join(argv) + f"\n# exit {code}\n" + block.getvalue())
     assert out.getvalue().encode() == (ROOT / "tests" / "data" / "cli_rows.stdout").read_bytes()
+
+
+def _measure_text(text: str) -> str:
+    """``text``, or for ``seed=<n>`` 1 000 atoms on [0, 1] with random
+    weights, written with 17 significant digits."""
+    if not text.startswith("seed="):
+        return text
+    rng = np.random.default_rng(int(text[5:]))
+    pts, wts = np.sort(rng.uniform(0.0, 1.0, 1000)), rng.random(1000)
+    wts /= wts.sum()
+    return ",".join(f"{p:.17g}:{w:.17g}" for p, w in zip(pts, wts)) + "@1.0"
+
+
+# (a, b) pairs for `distance`: equal single atoms, a -0.0 atom against a 0.0
+# atom, atoms at upper, disjoint supports, rounded atoms (0.1 + 0.2 against
+# 0.3) with equal weights, and a seeded 1 000-atom pair.  ``--a=`` keeps a
+# leading ``-`` from reading as an option.
+DISTANCE_PAIRS = [
+    ("0.5:1.0@1.0", "0.5:1.0@1.0"),
+    ("-0.0:0.5,1.0:0.5@1.0", "0.0:0.25,0.5:0.75@1.0"),
+    ("3.0:0.4,10.0:0.6@10.0", "10.0:1.0@10.0"),
+    ("0.1:0.2,0.3:0.8@1.0", "0.6:0.5,0.9:0.5@1.0"),
+    ("0.1:0.25,0.30000000000000004:0.25,0.7:0.25,1.0:0.25@1.0",
+     "0.3:0.25,0.4:0.25,0.7:0.25,1.0:0.25@1.0"),
+    ("seed=1", "seed=2"),
+]
+
+
+def test_distance_stdout_matches_recorded():
+    out = io.StringIO()
+    for a, b in DISTANCE_PAIRS:
+        for kind in ("k", "tv", "w"):
+            out.write(f"$ hetero-dro distance --kind {kind} --a={a} --b={b}\n")
+            argv = ["distance", "--kind", kind, f"--a={_measure_text(a)}", f"--b={_measure_text(b)}"]
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+    assert out.getvalue().encode() == (ROOT / "tests" / "data" / "distance.stdout").read_bytes()
