@@ -13,6 +13,8 @@ import dataclasses
 import functools
 import io
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -61,6 +63,10 @@ CSV_HEADER = [
 
 
 class ConfigInvalid(ValueError):
+    pass
+
+
+class OutputUnwritable(ValueError):
     pass
 
 
@@ -401,11 +407,27 @@ def _add_options(sub: argparse.ArgumentParser, *flags: str) -> None:
         sub.add_argument(flag, **_OPTIONS[flag])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word starting like a number, such as
+    the measure text ``-0.0:0.5,1.0:0.5@1.0``, as a value.  argparse
+    (3.10 to 3.13) takes a word that starts with '-' as a value only when
+    its ``_negative_number_matcher`` matches it, by default a whole negative
+    number (``-0.5``), so such a measure given after ``--a`` failed with
+    'expected one argument'.  Every subparser gets the wider pattern
+    (``add_parser`` builds this class).  A word that is an option, written
+    out or abbreviated, is matched as one before this pattern is tried, so
+    ``--a --b ...`` is still refused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged
     (argparse copies ``append`` defaults before appending)."""
-    parser = argparse.ArgumentParser(prog="hetero-dro")
+    parser = _Parser(prog="hetero-dro")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("distance", help="distance between two measures")
@@ -468,9 +490,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write --out {out_path}: {exc.strerror}") from None
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse, before any work, an --out path that cannot be opened for
+    writing because it is a directory or its directory does not exist.
+    Other failures (permissions, a full disk) surface in :func:`_emit`."""
+    if out_path is None:
+        return
+    if os.path.isdir(out_path):
+        raise OutputUnwritable(f"cannot write --out {out_path}: it is a directory")
+    parent = os.path.dirname(out_path) or os.curdir
+    if not os.path.isdir(parent):
+        raise OutputUnwritable(f"cannot write --out {out_path}: no directory {parent}")
 
 
 def _reject_lone_dashes(args: argparse.Namespace) -> None:
@@ -486,6 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _reject_lone_dashes(args)
+        _check_out(args.out)
         return _dispatch(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

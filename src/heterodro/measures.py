@@ -10,6 +10,12 @@ Canonical form: atoms sorted strictly increasing, positions closer than
 ``MERGE_TOL`` merged (weights added), zero-weight atoms dropped, and weights
 renormalized so that ``math.fsum(weights) == 1.0`` exactly.  Two canonical
 measures are equal iff their fields compare equal bitwise.
+
+The tuples are the measure.  Numeric code reads them through
+:attr:`FiniteMeasure.arrays`, read-only float64 copies built on first access
+and kept on the instance, so a measure is converted to numpy at most once
+however many expectations, distances or Monte-Carlo trials read it.  This
+module is the only place that converts a measure's tuples.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Sequence
+
+import numpy as np
 
 # Atoms closer than this are considered the same point; absorbs float noise
 # from arithmetic like M/2 - sqrt(M*eps)/2 on adversarial constructions.
@@ -53,6 +61,24 @@ class QOutOfRange(MeasureError):
     pass
 
 
+class _FirstRead:
+    """A method's value, computed on an instance's first read of it and kept
+    in the instance ``__dict__``, where later reads find it before this
+    descriptor: ``functools.cached_property`` without the lock that it takes
+    on Python 3.11, about 0.4 us on every first read (timeit, shared 2-CPU
+    host).  Two threads that read at once may both compute the value; it
+    depends only on the frozen instance, so either result is the same."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.method.__name__] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class FiniteMeasure:
     """Canonical finite-support probability measure on [0, upper].
@@ -69,6 +95,24 @@ class FiniteMeasure:
     def __post_init__(self) -> None:
         if not self.support or len(self.support) != len(self.weights):
             raise MeasureError("support and weights must be nonempty and aligned")
+
+    @_FirstRead
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(support, weights) as read-only float64 arrays, equal to the
+        tuples entry for entry (signed zeros included).
+
+        Built on first access and stored in the instance ``__dict__``, which
+        the frozen dataclass leaves writable; not a field, so ``==``,
+        ``hash`` and ``repr`` never see it.
+        """
+        return _read_only(self.support), _read_only(self.weights)
+
+
+def _read_only(values: tuple[float, ...]) -> np.ndarray:
+    """``values`` as a new float64 array that refuses writes."""
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _renormalized(weights: list[float], total: float | None = None) -> list[float]:

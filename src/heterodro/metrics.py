@@ -22,7 +22,6 @@ their witnesses are re-checked with the scalar :func:`in_ball`.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import Sequence
 
@@ -69,13 +68,14 @@ class DistanceKind(enum.Enum):
 def weights_on(measures: Sequence[FiniteMeasure], locs: np.ndarray) -> np.ndarray:
     """Row i holds measures[i]'s weight at each of the sorted ``locs`` (0.0
     where it has no atom); every atom must sit exactly on a location."""
-    atoms = np.fromiter(itertools.chain.from_iterable(m.support for m in measures), float)
+    supports, weights = zip(*(m.arrays for m in measures))
+    atoms = np.concatenate(supports)
     cols = np.searchsorted(locs, atoms)
     if (locs.take(cols, mode="clip") != atoms).any():
         raise ValueError("a measure has an atom off the given locations")
-    rows = np.repeat(np.arange(len(measures)), [len(m.support) for m in measures])
+    rows = np.repeat(np.arange(len(measures)), [len(s) for s in supports])
     W = np.zeros((len(measures), len(locs)))
-    W[rows, cols] = np.fromiter(itertools.chain.from_iterable(m.weights for m in measures), float)
+    W[rows, cols] = np.concatenate(weights)
     return W
 
 
@@ -121,12 +121,23 @@ def distance(kind: DistanceKind, a: FiniteMeasure, b: FiniteMeasure) -> float:
     """
     if a.upper != b.upper:
         raise MismatchedInterval(f"measures live on [0,{a.upper}] vs [0,{b.upper}]")
-    # the rows and locations weights_on would give, from one unique
-    locs, col = np.unique(np.array(a.support + b.support), return_inverse=True)
-    n = len(a.support)
+    (a_support, a_weights), (b_support, b_weights) = a.arrays, b.arrays
+    # The rows and locations weights_on would give: the sorted distinct atoms
+    # and each atom's column, by np.unique(..., return_inverse=True)'s own
+    # steps without its wrapper, which took half of a small call.
+    atoms = np.concatenate((a_support, b_support))
+    order = atoms.argsort()
+    atoms = atoms[order]
+    first = np.empty(len(atoms), bool)
+    first[0] = True
+    np.not_equal(atoms[1:], atoms[:-1], out=first[1:])
+    locs = atoms[first]
+    col = np.empty(len(atoms), np.intp)
+    col[order] = np.cumsum(first) - 1
+    n = len(a_support)
     W = np.zeros((2, len(locs)))
-    W[0, col[:n]] = a.weights
-    W[1, col[n:]] = b.weights
+    W[0, col[:n]] = a_weights
+    W[1, col[n:]] = b_weights
     if kind is DistanceKind.TOTAL_VARIATION:
         return 0.5 * math.fsum(np.abs(W[0] - W[1]).tolist())
     F = np.cumsum(W, axis=1)

@@ -155,14 +155,15 @@ def expected_objective(p: ProblemSpec, x: float, m: FiniteMeasure) -> float:
     # one comparison, which NaN fails, and x goes to _g as it is.
     if not 0.0 <= x <= p.M:
         raise OutOfRange(f"action {float(x)} outside [0, {p.M}]")
-    g = _g(p, x, np.asarray(m.support, dtype=float))
-    return math.fsum((np.asarray(m.weights) * g).tolist())
+    support, weights = m.arrays
+    return math.fsum((weights * _g(p, x, support)).tolist())
 
 
 def expected_objective_grid(p: ProblemSpec, xs: np.ndarray, m: FiniteMeasure) -> np.ndarray:
     """Expected objective at every action of the 1-d array ``xs``, by one
     matrix product (rounded differently from :func:`expected_objective`)."""
-    return objective(p, np.asarray(xs, dtype=float)[:, None], m.support) @ np.asarray(m.weights)
+    support, weights = m.arrays
+    return objective(p, np.asarray(xs, dtype=float)[:, None], support) @ weights
 
 
 def _check_measure(p: ProblemSpec, m: FiniteMeasure) -> None:

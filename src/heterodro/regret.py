@@ -232,9 +232,9 @@ def monte_carlo_regret(
     if off:
         nu = nus[min(off)]  # the first off-interval history in column order
         raise ValueError(f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]")
-    sizes = np.array([len(nu.support) for nu in objects])
-    points = itertools.chain.from_iterable(nu.support for nu in objects)
-    union_arr, point_idx = np.unique(np.fromiter(points, float), return_inverse=True)
+    supports, weights = zip(*(nu.arrays for nu in objects))
+    sizes = np.array([len(s) for s in supports])
+    union_arr, point_idx = np.unique(np.concatenate(supports), return_inverse=True)
     # Atoms of two histories within MERGE_TOL merge (one history's are apart).
     merge = len(objects) > 1 and (np.diff(union_arr) <= MERGE_TOL).any()
     empirical = make_finite_measure if merge else _from_canonical
@@ -244,8 +244,7 @@ def monte_carlo_regret(
     width = int(sizes.max())
     held = np.arange(width) < sizes[:, None]
     cum = np.zeros(held.shape)
-    weights = itertools.chain.from_iterable(nu.weights for nu in objects)
-    cum[held] = np.fromiter(weights, float)
+    cum[held] = np.concatenate(weights)
     cum = np.cumsum(cum, axis=1)
     union_idx = np.zeros(held.shape, np.intp)
     union_idx[held] = point_idx

@@ -18,7 +18,7 @@ from heterodro.measures import (
     make_finite_measure,
 )
 from heterodro.metrics import BALL_SLACK, DistanceKind, MismatchedInterval, weights_on
-from heterodro.policies import policy_action
+from heterodro.policies import apply_policy, policy_action
 from heterodro.problems import (
     ProblemKind,
     ProblemSpec,
@@ -27,7 +27,7 @@ from heterodro.problems import (
     opt_value,
     oracle,
 )
-from heterodro.regret import EpsTooLarge, NoAnalyticBound
+from heterodro.regret import Z95, EpsTooLarge, NoAnalyticBound, RegretReport
 
 
 def random_measure(rng, upper=1.0, max_atoms=5):
@@ -181,14 +181,89 @@ def reference_from_text(text):
     return reference_make_finite_measure(pts, wts, upper)
 
 
+# Tuple-based references for the readers of ``FiniteMeasure.arrays``: each
+# converts the measure's tuples afresh on every call, as the library did
+# before the cached view.  The library must match them bit for bit.
+
+
+def reference_weights_on(measures, locs):
+    """The reference for ``metrics.weights_on``."""
+    atoms = np.fromiter(itertools.chain.from_iterable(m.support for m in measures), float)
+    cols = np.searchsorted(locs, atoms)
+    if (locs.take(cols, mode="clip") != atoms).any():
+        raise ValueError("a measure has an atom off the given locations")
+    rows = np.repeat(np.arange(len(measures)), [len(m.support) for m in measures])
+    W = np.zeros((len(measures), len(locs)))
+    W[rows, cols] = np.fromiter(itertools.chain.from_iterable(m.weights for m in measures), float)
+    return W
+
+
 def reference_pair_terms(kind, a, b):
     """The per-location terms that ``metrics.distance`` reduces: ``np.unique``,
-    then ``weights_on`` and ``distance_terms``."""
+    then ``reference_weights_on`` and ``distance_terms``."""
     if a.upper != b.upper:
         raise MismatchedInterval(f"measures live on [0,{a.upper}] vs [0,{b.upper}]")
     locs = np.unique(np.array(a.support + b.support))
-    wa, wb = weights_on((a, b), locs)
+    wa, wb = reference_weights_on((a, b), locs)
     return distance_terms(kind, wa, wb, np.append(locs[1:], a.upper) - locs)
+
+
+def reference_distance(kind, a, b) -> float:
+    """The reference for ``metrics.distance``: ``reference_pair_terms``
+    reduced by their max for K, their ``fsum`` for W1, half their ``fsum``
+    for TV."""
+    terms = reference_pair_terms(kind, a, b)
+    if kind is DistanceKind.KOLMOGOROV:
+        return float(terms.max())
+    total = math.fsum(terms.tolist())
+    return 0.5 * total if kind is DistanceKind.TOTAL_VARIATION else total
+
+
+def reference_expected_objective(p, x, m) -> float:
+    """The reference for ``problems.expected_objective``."""
+    g = objective(p, x, np.asarray(m.support, dtype=float))
+    return math.fsum((np.asarray(m.weights) * g).tolist())
+
+
+def reference_monte_carlo_regret(p, pol, mu, nus, trials, seed):
+    """Monte-Carlo regret with the columns grouped by a per-element dict of
+    ids, then merged by content, each group mapped by its own searchsorted:
+    the reference for ``monte_carlo_regret``, which groups by object with
+    one ``np.unique`` and counts through shared tables.  Sampling and RNG
+    streams are the same; mu is costed by ``reference_expected_objective``."""
+    n = len(nus)
+    opt_mu = reference_expected_objective(p, oracle(p, mu), mu)
+    columns_of_id = {}
+    for i, ident in enumerate(map(id, nus)):
+        columns_of_id.setdefault(ident, []).append(i)
+    columns_of = {}
+    for cols in columns_of_id.values():
+        nu = nus[cols[0]]
+        columns_of.setdefault((nu.support, nu.weights), []).extend(cols)
+    union = sorted({pt for sup, _ in columns_of for pt in sup})
+    union_arr = np.asarray(union)
+    index_of = {pt: i for i, pt in enumerate(union)}
+    plans = [
+        (np.cumsum(wts), np.asarray([index_of[pt] for pt in sup]), np.asarray(cols))
+        for (sup, wts), cols in columns_of.items()
+    ]
+    regrets = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        u = rng.random(n)
+        sample_idx = np.empty(n, dtype=np.int64)
+        for cum, idx_map, cols in plans:
+            k = np.minimum(np.searchsorted(cum, u[cols], side="right"), len(idx_map) - 1)
+            sample_idx[cols] = idx_map[k]
+        counts = np.bincount(sample_idx, minlength=len(union))
+        nz = counts > 0
+        m_hat = make_finite_measure(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
+        action = apply_policy(pol, p, m_hat)
+        regrets[t] = abs(opt_mu - reference_expected_objective(p, action, mu))
+    ci = float(Z95 * regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return RegretReport(
+        estimate=float(regrets.mean()), ci_half_width=ci, n=n, trials=trials, seed=seed
+    )
 
 
 def outcome(build, *args):

@@ -1176,3 +1176,87 @@ class TestMalformedText:
     def test_lone_dash_value(self, argv):
         # argparse before Python 3.12 turns the value "--" into []
         self.check(argv)
+
+
+class TestOutPath:
+    """An --out path that cannot be written exits 2 with one named error
+    line and prints nothing; a missing directory or a directory is refused
+    before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--problem", "pricing:1", "--measure", "0.5:1@1"],
+            ["rates", "--problem", "ski:3,10", "--kind", "k", "--eps-grid", "0.01,0.02,0.05"],
+        ],
+        ids=["oracle", "rates"],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "name-too-long"])
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, argv, where):
+        out = {
+            "missing-dir": tmp_path / "missing" / "x.csv",
+            "directory": tmp_path,
+            "name-too-long": tmp_path / ("x" * 300),  # open() alone finds this
+        }[where]
+        if where != "name-too-long":
+            def no_work(*args):
+                raise AssertionError("computed before refusing --out")
+            monkeypatch.setattr(cli, "oracle", no_work)
+            monkeypatch.setattr(cli, "run_experiment", no_work)
+        code, stdout, stderr = run_captured([*argv, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        (line,) = stderr.splitlines()
+        assert line.startswith(f"error: cannot write --out {out}: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_writable_out(self, tmp_path):
+        out = tmp_path / "x.txt"
+        argv = ["oracle", "--problem", "pricing:1", "--measure", "0.5:1@1"]
+        assert run_captured([*argv, "--out", str(out)]) == (0, "", "")
+        assert out.read_text() == run_captured(argv)[1]
+
+
+class TestSignedValues:
+    """A measure text or location list whose first atom is -0.0 is read as
+    the option's value, the same as the ``--opt=value`` form."""
+
+    @pytest.mark.parametrize(
+        "head, option, value, tail",
+        [
+            (["distance", "--kind", "k"], "--a", "-0.0:0.5,1.0:0.5@1.0", ["--b", "0.0:1.0@1.0"]),
+            (["distance", "--kind", "w", "--a", "0.5:1@1"], "--b", "-0.0:0.5,1.0:0.5@1.0", []),
+            (["regret", "--problem", "ski:3,10", "--policy", "saa"], "--mu", "-0.0:0.5,4:0.5@10",
+             ["--nu", "2:1@10"]),
+            (["regret", "--problem", "ski:3,10", "--policy", "saa", "--mu", "2:1@10"], "--nu",
+             "-0.0:0.5,4:0.5@10", []),
+            (["oracle", "--problem", "ski:3,10"], "--measure", "-0.0:0.5,1.0:0.5@10", []),
+            (["dro-scan", "--problem", "pricing:1", "--policy", "saa", "--kind", "k",
+              "--eps", "0.05"], "--locations", "-0.0,0.5,1", []),
+            # abbreviations, which argparse resolves to the options above
+            (["oracle", "--problem", "ski:3,10"], "--meas", "-0.0:0.5,1.0:0.5@10", []),
+            (["regret", "--problem", "ski:3,10", "--policy", "saa"], "--m", "-0.0:0.5,4:0.5@10",
+             ["--nu", "2:1@10"]),
+            (["dro-scan", "--problem", "pricing:1", "--policy", "saa", "--kind", "k",
+              "--eps", "0.05"], "--loc", "-0.0,0.5,1", []),
+        ],
+        ids=["a", "b", "mu", "nu", "measure", "locations", "meas", "m", "loc"],
+    )
+    def test_value_starting_with_minus_zero(self, head, option, value, tail):
+        joined = run_captured([*head, f"{option}={value}", *tail])
+        assert joined[0] == 0 and joined[1] and joined[2] == ""
+        assert run_captured([*head, option, value, *tail]) == joined
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["distance", "--kind", "k", "--a", "--b", "0.0:1.0@1.0"], "--a"),
+            (["distance", "--kind", "k", "--a", "--k", "k", "--b", "0.0:1.0@1.0"], "--a"),
+            (["oracle", "--meas", "--prob", "ski:3,10"], "--measure"),
+        ],
+        ids=["option", "abbreviated-option", "both-abbreviated"],
+    )
+    def test_option_in_value_position_exits_2(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected one argument" in capsys.readouterr().err

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heterodro import measures
 from heterodro.measures import (
     MERGE_TOL,
+    FiniteMeasure,
     NegativeWeight,
     PointOutOfRange,
     QOutOfRange,
@@ -17,7 +19,10 @@ from heterodro.measures import (
     quantile,
     to_text,
 )
-from heterodro.metrics import DistanceKind, distance
+from heterodro.metrics import DistanceKind, distance, weights_on
+from heterodro.policies import PolicySpec
+from heterodro.problems import ProblemSpec, expected_objective
+from heterodro.regret import monte_carlo_regret
 
 from conftest import (
     cdf,
@@ -25,9 +30,13 @@ from conftest import (
     mean,
     outcome,
     random_measure,
+    reference_distance,
+    reference_expected_objective,
     reference_from_text,
     reference_make_finite_measure,
+    reference_monte_carlo_regret,
     reference_renormalized,
+    reference_weights_on,
     sample,
 )
 
@@ -388,3 +397,108 @@ class TestFromTextMatchesReference:
     )
     def test_examples(self, text):
         assert outcome(from_text, text) == outcome(reference_from_text, text)
+
+
+@st.composite
+def edge_measures(draw, upper, min_atoms=1):
+    """A canonical measure on [0, upper] of 1-40 atoms, its first atom
+    sometimes at -0.0 or 0.0 and its last sometimes at upper."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(min_atoms, 40))
+    pts = rng.uniform(0.0, upper, k)
+    pts[0] = draw(st.sampled_from([pts[0], -0.0, 0.0]))
+    if draw(st.booleans()):
+        pts[-1] = upper
+    return make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(k)).tolist(), upper)
+
+
+def fresh(m):
+    """An equal measure whose array view is not built yet."""
+    return FiniteMeasure(m.support, m.weights, m.upper)
+
+
+class TestArrays:
+    """``FiniteMeasure.arrays``: the tuples as read-only float64 arrays,
+    built once per measure and invisible to ``==``, ``hash`` and ``repr``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1.0, 3.7, 250.0]).flatmap(edge_measures))
+    def test_matches_tuples(self, m):
+        support, weights = m.arrays
+        for arr, values in ((support, m.support), (weights, m.weights)):
+            assert arr.dtype == np.float64 and arr.shape == (len(values),)
+            assert [x.hex() for x in arr.tolist()] == [x.hex() for x in values]
+        assert m.arrays[0] is support and m.arrays[1] is weights
+
+    def test_signed_zero_and_upper_atoms(self):
+        m = make_finite_measure([-0.0, 0.5, 2.5], [0.25, 0.5, 0.25], 2.5)
+        support, _ = m.arrays
+        assert [x.hex() for x in support.tolist()] == ["-0x0.0p+0", "0x1.0000000000000p-1",
+                                                       "0x1.4000000000000p+1"]
+
+    def test_writes_raise(self):
+        m = make_finite_measure([0.2, 0.7], [0.25, 0.75], 1.0)
+        for arr in m.arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+        assert m.arrays[0].tolist() == [0.2, 0.7] and m.arrays[1].tolist() == [0.25, 0.75]
+
+    def test_eq_hash_repr_unchanged(self):
+        m = make_finite_measure([-0.0, 0.7], [0.25, 0.75], 1.0)
+        before = repr(m)
+        m.arrays
+        other = fresh(m)
+        assert "arrays" not in vars(other)
+        assert m == other and hash(m) == hash(other)
+        assert repr(m) == repr(other) == before
+        assert "array" not in before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        problem=st.sampled_from(["newsvendor:2,1,10", "pricing:10", "ski:3,10"]),
+        trials=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_readers_match_tuple_references(self, data, problem, trials, seed):
+        # Every reader of the view gives the tuple-based reference's bits,
+        # on a measure whose view is built by the call and on one whose
+        # view is already built.
+        p = ProblemSpec.from_text(problem)
+        mu, nu = data.draw(edge_measures(10.0)), data.draw(edge_measures(10.0))
+        xs = [0.0, 10.0, mu.support[-1], data.draw(st.floats(0.0, 10.0))]
+        locs = np.array(sorted({*mu.support, *nu.support}))
+        nus = data.draw(st.lists(st.sampled_from([mu, nu]), min_size=1, max_size=30))
+        pol = data.draw(st.sampled_from([PolicySpec.saa(), PolicySpec.delta_saa(-0.5)]))
+        for a, b in ((fresh(mu), fresh(nu)), (mu, nu)):
+            for x in xs:
+                got = expected_objective(p, x, a)
+                assert got.hex() == reference_expected_objective(p, x, a).hex()
+            for kind in DistanceKind:
+                for x, y in ((a, b), (b, a)):
+                    assert distance(kind, x, y).hex() == reference_distance(kind, x, y).hex()
+            got = weights_on([a, b, a], locs)
+            assert got.tobytes() == reference_weights_on([a, b, a], locs).tobytes()
+        for history in ([fresh(m) for m in nus], nus):
+            got = monte_carlo_regret(p, pol, fresh(mu), history, trials, seed)
+            want = reference_monte_carlo_regret(p, pol, mu, history, trials, seed)
+            assert got.estimate.hex() == want.estimate.hex()
+            assert got.ci_half_width.hex() == want.ci_half_width.hex()
+
+    @pytest.mark.parametrize("problem", ["newsvendor:2,1,10", "pricing:10", "ski:3,10"])
+    def test_mu_converted_once_per_monte_carlo_call(self, monkeypatch, problem):
+        converted = []
+        read_only = measures._read_only
+        monkeypatch.setattr(
+            measures, "_read_only", lambda values: converted.append(values) or read_only(values)
+        )
+        p = ProblemSpec.from_text(problem)
+        nu = make_finite_measure([1.0, 4.0, 6.0, 9.0], [0.1, 0.2, 0.3, 0.4], 10.0)
+        for trials in (1, 25):
+            mu = make_finite_measure([2.0, 5.0, 7.0], [0.3, 0.3, 0.4], 10.0)
+            converted.clear()
+            monte_carlo_regret(p, PolicySpec.saa(), mu, [nu] * 50, trials, seed=3)
+            assert sum(values is mu.support for values in converted) == 1
+            assert sum(values is mu.weights for values in converted) == 1

@@ -16,7 +16,7 @@ from heterodro.metrics import (
     weights_on,
 )
 
-from conftest import distance_terms, empirical_from, mix, random_measure, reference_pair_terms
+from conftest import distance_terms, empirical_from, mix, random_measure, reference_distance
 
 ALL_KINDS = list(DistanceKind)
 K, TV, W = DistanceKind.KOLMOGOROV, DistanceKind.TOTAL_VARIATION, DistanceKind.WASSERSTEIN
@@ -71,16 +71,6 @@ def reference_wasserstein1(a: FiniteMeasure, b: FiniteMeasure) -> float:
         nxt = pts[j + 1] if j + 1 < len(pts) else a.upper
         pieces.append(abs(fa - fb) * (nxt - t))
     return math.fsum(pieces)
-
-
-def reduced_pair_terms(kind, a, b) -> float:
-    """``reference_pair_terms`` reduced as ``distance`` reduces them: their
-    max for K, their ``fsum`` for W1, half their ``fsum`` for TV."""
-    terms = reference_pair_terms(kind, a, b)
-    if kind is K:
-        return float(terms.max())
-    total = math.fsum(terms.tolist())
-    return 0.5 * total if kind is TV else total
 
 
 @st.composite
@@ -211,7 +201,7 @@ class TestKernelMatchesReference:
         a, b = pair
         for x, y in ((a, b), (b, a)):
             got = distance(kind, x, y)
-            assert got.hex() == reduced_pair_terms(kind, x, y).hex()
+            assert got.hex() == reference_distance(kind, x, y).hex()
 
     def test_pair_terms_signed_zero(self):
         a = make_finite_measure([-0.0, 0.5], [0.5, 0.5], 1.0)
@@ -220,7 +210,7 @@ class TestKernelMatchesReference:
         for kind in ALL_KINDS:
             for x, y in ((a, b), (b, a)):
                 got = distance(kind, x, y)
-                assert got.hex() == reduced_pair_terms(kind, x, y).hex()
+                assert got.hex() == reference_distance(kind, x, y).hex()
 
     def test_atom_off_locations_raises(self):
         m = make_finite_measure([0.2, 0.7], [0.5, 0.5], 1.0)

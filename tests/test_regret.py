@@ -27,7 +27,6 @@ from heterodro.problems import (
     ProblemSpec,
     _row_measure,
     expected_objective,
-    opt_value,
     oracle,
 )
 from heterodro.regret import (
@@ -37,7 +36,6 @@ from heterodro.regret import (
     MAX_INDIFFERENCE_M,
     MAX_TRIALS,
     MissingParameter,
-    Z95,
     RegretReport,
     ScanGrid,
     TooLarge,
@@ -65,6 +63,7 @@ from conftest import (
     mix,
     reference_analytic_bounds,
     reference_dro_regret_scan,
+    reference_monte_carlo_regret,
     reference_saa_diagnostic,
 )
 
@@ -105,47 +104,6 @@ class TestExactRegret:
         mu = make_finite_measure([0, 1], [0.4, 0.6], 1)
         nu = make_finite_measure([0, 1], [0.5, 0.5], 1)
         assert exact_regret(p, SAA, mu, nu) == pytest.approx(0.2, abs=1e-12)
-
-
-def reference_monte_carlo_regret(p, pol, mu, nus, trials, seed):
-    """Monte-Carlo regret with the columns grouped by a per-element dict of
-    ids, then merged by content, each group mapped by its own searchsorted:
-    the reference for ``monte_carlo_regret``, which groups by object with
-    one ``np.unique`` and counts through shared tables.  Sampling and RNG
-    streams are the same."""
-    n = len(nus)
-    opt_mu = opt_value(p, mu)
-    columns_of_id = {}
-    for i, ident in enumerate(map(id, nus)):
-        columns_of_id.setdefault(ident, []).append(i)
-    columns_of = {}
-    for cols in columns_of_id.values():
-        nu = nus[cols[0]]
-        columns_of.setdefault((nu.support, nu.weights), []).extend(cols)
-    union = sorted({pt for sup, _ in columns_of for pt in sup})
-    union_arr = np.asarray(union)
-    index_of = {pt: i for i, pt in enumerate(union)}
-    plans = [
-        (np.cumsum(wts), np.asarray([index_of[pt] for pt in sup]), np.asarray(cols))
-        for (sup, wts), cols in columns_of.items()
-    ]
-    regrets = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        u = rng.random(n)
-        sample_idx = np.empty(n, dtype=np.int64)
-        for cum, idx_map, cols in plans:
-            k = np.minimum(np.searchsorted(cum, u[cols], side="right"), len(idx_map) - 1)
-            sample_idx[cols] = idx_map[k]
-        counts = np.bincount(sample_idx, minlength=len(union))
-        nz = counts > 0
-        m_hat = make_finite_measure(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
-        action = apply_policy(pol, p, m_hat)
-        regrets[t] = abs(opt_mu - expected_objective(p, action, mu))
-    ci = float(Z95 * regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return RegretReport(
-        estimate=float(regrets.mean()), ci_half_width=ci, n=n, trials=trials, seed=seed
-    )
 
 
 @st.composite
