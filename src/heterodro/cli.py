@@ -34,6 +34,7 @@ from .regret import (
     TooLarge,
     adversarial_instance,
     bounds_for_policy,
+    check_seed,
     dro_regret_scan,
     evaluate_pair,
     exact_regret,
@@ -138,6 +139,8 @@ class ExperimentConfig:
         for name, value, cap in caps:
             if value > cap:
                 raise TooLarge(f"{name} = {value} exceeds the cap {cap}")
+        if self.mode == "monte-carlo":
+            check_seed(self.seed)
         for key in self.family_params:
             if key not in _FAMILY_PARAMS:
                 raise ConfigInvalid(f"unknown parameter {key!r}")
@@ -245,6 +248,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple[float, RegretReport | No
                     bounds = (cfg.problem, cfg.kind, pol, eps)
                     report = _named_report(pair, eval_pol, bounds, cfg.seed)
                 else:  # monte-carlo
+                    if cfg.n < len(pair.nus):  # a shorter draw would drop histories
+                        raise ConfigInvalid(
+                            f"n = {cfg.n} is below the {len(pair.nus)} histories "
+                            f"of the {name} witness"
+                        )
                     reps = (cfg.n + len(pair.nus) - 1) // len(pair.nus)
                     nus = (pair.nus * reps)[: cfg.n]
                     report = monte_carlo_regret(

@@ -51,14 +51,14 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # sqrt(25 us / 13 ns) balance the two (timeit, shared 2-CPU host).
 _SCAN_ENTRIES = 1 << 17
 _SCAN_ROWS = 64
-# monte_carlo_regret counts a history's draws by one compare per atom
+# _atom_counts counts a history's draws by one compare per atom
 # boundary (about 1.5 us + 0.2 ns per column) while it has this many columns
 # per atom, else by bincount(searchsorted) (10-40 ns per column): the
 # measured crossing over 250-40 000 columns and 2-64 atoms (timeit).
 _COLUMNS_PER_COMPARE = 128
-# It maps all columns at once through one padded table when the table's
-# n x widest entries (about 2 ns each) cost less than one Python iteration
-# per distinct history object (about 5 us, or 2500 entries).
+# monte_carlo_regret maps several histories' columns through one padded
+# table when its n x widest entries (about 2 ns each) cost less than one
+# Python iteration per distinct history object (about 5 us, or 2500 entries).
 _ENTRIES_PER_GROUP = 2500
 # Resource caps, checked before anything is allocated and far above every
 # shipped default (n = 10**4 histories, 2000 trials, family M <= 15):
@@ -185,6 +185,21 @@ def exhaustive_regret_n2(
     return math.fsum(total)
 
 
+def _atom_counts(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draws per atom of a history with cumsum[:-1] ``edges`` (uniforms u)."""
+    if (len(edges) + 1) * _COLUMNS_PER_COMPARE <= len(u):
+        below = [np.count_nonzero(u < c) for c in edges.tolist()]
+        return np.diff([0, *below, len(u)])
+    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=len(edges) + 1)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a non-negative integer: SeedSequence draws
+    OS entropy for None, reads True as 1 and rejects a negative one late."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def monte_carlo_regret(
     p: ProblemSpec,
     pol: PolicySpec,
@@ -197,22 +212,24 @@ def monte_carlo_regret(
 
     Each trial draws one sample from every nu_i, forms the empirical measure,
     and applies the policy.  Trial t uses the generator seeded by (seed, t),
-    so results are independent of how trials are scheduled.  Every nu_i must
-    live on mu's interval.
+    a non-negative integer, so results are independent of how trials are
+    scheduled.  Every nu_i must live on mu's interval.
 
     Draws are counted per atom, never placed: column i's uniform u picks
     atom #{j < k-1 : cum_j <= u} of nu_i (cum the cumsum of its k weights),
-    so the last atom takes the rest even where cum rounds below 1.  A
-    history counts #(u < cum_j) per boundary and differences neighbours,
-    or bincounts a searchsorted over cum[:-1].  Many distinct histories
-    (up to one per column) share one table instead: each history's
-    cum[:-1] padded with +inf, which no uniform reaches, so summing
-    ``row <= u`` over all n columns gives the same clamped index, then the
-    union index, then one bincount per trial.  The tables hold histories x
-    widest entries; a trial holds O(n) more.  Histories are grouped by
-    object (one ``np.unique`` of their ids) and their atoms indexed into
-    the union by one ``np.unique`` of all supports.
+    so the last atom takes the rest even where cum rounds below 1.  Columns
+    are grouped by object (one ``np.unique`` of their ids).  One history is
+    its own union and is counted on its own atoms (``_atom_counts``).
+    Several are indexed into the union of their supports by one more
+    ``np.unique`` and counted one at a time, or, when many are distinct
+    (up to one per column), through one table: each history's cum[:-1]
+    padded with +inf, which no uniform reaches, so summing ``row <= u`` over
+    all n columns gives the same clamped index, then the union index, then
+    one bincount per trial.  The tables hold histories x widest entries; a
+    trial holds O(n) more.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
@@ -220,6 +237,9 @@ def monte_carlo_regret(
     n = len(nus)
     if n < 1:
         raise ValueError("need at least one historical measure")
+    if n > MAX_HISTORIES:
+        raise TooLarge(f"n = {n} exceeds the cap {MAX_HISTORIES}")
+    check_seed(seed)
     opt_mu = opt_value(p, mu)
 
     # One group per distinct object, in the order of one np.unique of the
@@ -232,42 +252,43 @@ def monte_carlo_regret(
     if off:
         nu = nus[min(off)]  # the first off-interval history in column order
         raise ValueError(f"historical measure on [0, {nu.upper}] but mu on [0, {mu.upper}]")
-    supports, weights = zip(*(nu.arrays for nu in objects))
-    sizes = np.array([len(s) for s in supports])
-    union_arr, point_idx = np.unique(np.concatenate(supports), return_inverse=True)
-    # Atoms of two histories within MERGE_TOL merge (one history's are apart).
-    merge = len(objects) > 1 and (np.diff(union_arr) <= MERGE_TOL).any()
-    empirical = make_finite_measure if merge else _from_canonical
-    # Row g of the padded tables: group g's cumulative weights and union
-    # indices.  cumsum adds along each row in order, so a row's leading
-    # entries are the group's own np.cumsum, bit for bit.
-    width = int(sizes.max())
-    held = np.arange(width) < sizes[:, None]
-    cum = np.zeros(held.shape)
-    cum[held] = np.concatenate(weights)
-    cum = np.cumsum(cum, axis=1)
-    union_idx = np.zeros(held.shape, np.intp)
-    union_idx[held] = point_idx
-    table = width * n < _ENTRIES_PER_GROUP * len(objects)
-    if table or len(objects) > 1:
-        # each column's group: the np.unique inverse, found only where read
-        group_of = np.searchsorted(uniq_ids, ids)
-    if table:
-        # one row per boundary; row g of the union table at g * width
-        edge_rows = np.ascontiguousarray(np.where(held[:, 1:], cum[:, :-1], np.inf).T)
-        union_rows = union_idx.ravel()
-        row_start = group_of * width
+    if len(objects) == 1:  # a canonical support: no merge check, union index or scatter
+        union_arr, weights = objects[0].arrays
+        cum = np.cumsum(weights)[: len(union_arr) - 1]
+        empirical, table, plans = _from_canonical, False, None
     else:
-        if len(objects) == 1:
-            columns = [slice(None)]  # u[:] is a view: no gather
+        supports, weights = zip(*(nu.arrays for nu in objects))
+        sizes = np.array([len(s) for s in supports])
+        union_arr, point_idx = np.unique(np.concatenate(supports), return_inverse=True)
+        # Atoms of two histories within MERGE_TOL merge (one history's are apart).
+        merge = (np.diff(union_arr) <= MERGE_TOL).any()
+        empirical = make_finite_measure if merge else _from_canonical
+        # Row g of the padded tables: group g's cumulative weights and union
+        # indices.  cumsum adds along each row in order, so a row's leading
+        # entries are the group's own np.cumsum, bit for bit.
+        width = int(sizes.max())
+        held = np.arange(width) < sizes[:, None]
+        cum = np.zeros(held.shape)
+        cum[held] = np.concatenate(weights)
+        cum = np.cumsum(cum, axis=1)
+        union_idx = np.zeros(held.shape, np.intp)
+        union_idx[held] = point_idx
+        table = width * n < _ENTRIES_PER_GROUP * len(objects)
+        # each column's group: the np.unique inverse
+        group_of = np.searchsorted(uniq_ids, ids)
+        if table:
+            # one row per boundary; row g of the union table at g * width
+            edge_rows = np.ascontiguousarray(np.where(held[:, 1:], cum[:, :-1], np.inf).T)
+            union_rows = union_idx.ravel()
+            row_start = group_of * width
         else:
             by_group = np.argsort(group_of, kind="stable")
             ends = np.cumsum(np.bincount(group_of)).tolist()
             columns = [by_group[a:z] for a, z in itertools.pairwise([0, *ends])]
-        plans = [
-            (edges[: k - 1], idx_map[:k], cols)
-            for k, edges, idx_map, cols in zip(sizes.tolist(), cum, union_idx, columns)
-        ]
+            plans = [
+                (edges[: k - 1], idx_map[:k], cols)
+                for k, edges, idx_map, cols in zip(sizes.tolist(), cum, union_idx, columns)
+            ]
 
     regrets = np.empty(trials)
     for t in range(trials):
@@ -278,16 +299,12 @@ def monte_carlo_regret(
             for row in edge_rows:
                 pos += row[group_of] <= u
             counts = np.bincount(union_rows[pos], minlength=len(union_arr))
+        elif plans is None:
+            counts = _atom_counts(cum, u)
         else:
             counts = np.zeros(len(union_arr), np.int64)
             for edges, idx_map, cols in plans:
-                uc = u[cols]
-                if len(idx_map) * _COLUMNS_PER_COMPARE <= len(uc):
-                    below = [np.count_nonzero(uc < c) for c in edges.tolist()]
-                    counts[idx_map] += np.diff([0, *below, len(uc)])
-                else:
-                    k = np.searchsorted(edges, uc, side="right")
-                    counts[idx_map] += np.bincount(k, minlength=len(idx_map))
+                counts[idx_map] += _atom_counts(edges, u[cols])
         nz = counts > 0
         m_hat = empirical(union_arr[nz].tolist(), (counts[nz] / n).tolist(), mu.upper)
         action = apply_policy(pol, p, m_hat)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -184,6 +185,50 @@ class TestRunExperiment:
         )
         ((_, report, _),) = run_experiment(cfg)
         assert report.estimate == pytest.approx(0.1, abs=1e-12)
+
+
+class TestMonteCarloRefusals:
+    """`rates --mode monte-carlo` refuses, before any eps runs, a seed the
+    engine cannot honour and an n too small to draw every history of the
+    witness."""
+
+    MC = ["rates", "--problem", "ski:7,11", "--kind", "tv", "--eps-grid", "1",
+          "--mode", "monte-carlo", "--policy", "saa", "--trials", "5"]
+    HETERO = ["--family", "hetero_helps", "--params", "k=3"]
+
+    def test_negative_seed_exits_2_before_any_eps(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("ran before refusing --seed")
+        monkeypatch.setattr(cli, "run_experiment", no_work)
+        code, stdout, stderr = run_captured([*self.MC, "--seed", "-1"])
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_config_checks_the_seed_for_monte_carlo_only(self):
+        base = dict(problem=ProblemSpec.ski_rental(7, 11), kind=TV, policy=PolicySpec.saa(),
+                    eps_grid=(1.0,), seed=-1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            ExperimentConfig(**base, mode="monte-carlo")
+        ExperimentConfig(**base)  # adversarial-named reads no seed
+
+    def test_n_below_the_witness_histories_exits_2(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before refusing --n")
+        monkeypatch.setattr(cli, "monte_carlo_regret", no_draws)
+        code, stdout, stderr = run_captured([*self.MC, *self.HETERO, "--n", "1"])
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: n = 1 is below the 2 histories of the hetero_helps witness\n"
+
+    def test_n_below_the_witness_histories_in_the_library(self):
+        cfg = ExperimentConfig(
+            problem=ProblemSpec.ski_rental(7, 11), kind=TV, policy=PolicySpec.saa(),
+            eps_grid=(1.0,), n=1, trials=5, mode="monte-carlo", family="hetero_helps",
+            family_params={"k": 3.0},
+        )
+        with pytest.raises(ConfigInvalid, match="n = 1 is below the 2 histories"):
+            run_experiment(cfg)
+        ((_, report, _),) = run_experiment(dataclasses.replace(cfg, n=2))
+        assert report.n == 2 and len(report.witness.nus) == 2
 
 
 class TestCsv:

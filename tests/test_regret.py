@@ -33,6 +33,7 @@ from heterodro.regret import (
     AdversarialPair,
     EpsTooLarge,
     InvalidBRange,
+    MAX_HISTORIES,
     MAX_INDIFFERENCE_M,
     MAX_TRIALS,
     MissingParameter,
@@ -106,20 +107,20 @@ class TestExactRegret:
         assert exact_regret(p, SAA, mu, nu) == pytest.approx(0.2, abs=1e-12)
 
 
+# The problems and policies the Monte-Carlo tests draw from.
+MC_PROBLEM_POLICIES = [
+    (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
+    (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
+    (ProblemSpec.ski_rental(3.0, 10.0), SAA),
+    (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
+]
+
+
 @st.composite
 def mc_histories(draw):
     """A problem, a policy, mu and a history of 1-5 distinct objects, some
     of them equal-content copies of another, in random order."""
-    problem, pol = draw(
-        st.sampled_from(
-            [
-                (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
-                (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
-                (ProblemSpec.ski_rental(3.0, 10.0), SAA),
-                (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
-            ]
-        )
-    )
+    problem, pol = draw(st.sampled_from(MC_PROBLEM_POLICIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     integer_days = problem.kind is ProblemKind.SKI_RENTAL
 
@@ -168,16 +169,7 @@ def mc_many_histories(draw):
     1-29 atoms: either each on its own support (the union grows with the
     objects) or all on subsets of one shared support with their own
     weights, atoms at 0 and at the upper end included."""
-    problem, pol = draw(
-        st.sampled_from(
-            [
-                (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
-                (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
-                (ProblemSpec.ski_rental(3.0, 10.0), SAA),
-                (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
-            ]
-        )
-    )
+    problem, pol = draw(st.sampled_from(MC_PROBLEM_POLICIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if problem.kind is ProblemKind.SKI_RENTAL:  # integer days
         shared = np.arange(0.0, 11.0)
@@ -387,15 +379,7 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=rf"historical measure on \[0, {first}\]"):
             monte_carlo_regret(p, SAA, delta(4, 10), nus, 3, 1)
 
-    @pytest.mark.parametrize(
-        "problem, pol",
-        [
-            (ProblemSpec.newsvendor(2.0, 1.0, 10.0), SAA),
-            (ProblemSpec.pricing(10.0), PolicySpec.delta_saa(0.5)),
-            (ProblemSpec.ski_rental(3.0, 10.0), SAA),
-            (ProblemSpec.ski_rental(3.0, 10.0), PolicySpec.capped(4.0)),
-        ],
-    )
+    @pytest.mark.parametrize("problem, pol", MC_PROBLEM_POLICIES)
     def test_signed_zero_atoms_match_reference(self, problem, pol):
         # Objects put atoms at -0.0 and at 0.0, some with equal content
         # otherwise: the union holds one zero, whichever sign np.unique
@@ -412,6 +396,103 @@ class TestMonteCarlo:
         for n in (1, 7, 400):
             nus = [objects[i] for i in rng.integers(0, len(objects), n)]
             assert_matches_reference(problem, pol, mu, nus, 4, n)
+
+
+
+
+def random_history(rng, k, below_one=False):
+    """A k-atom measure on integer days in [0, 10], its weights' running sum
+    rounding below 1 if asked (k >= 3)."""
+    pts = np.sort(rng.choice(np.arange(11.0), size=k, replace=False))
+    wts = below_one_cumsum(rng, k) if below_one else rng.dirichlet(np.ones(k)).tolist()
+    return make_finite_measure(pts.tolist(), wts, 10.0)
+
+
+class TestOneHistory:
+    """A history of one distinct object is counted on that object's own
+    atoms; every counting regime gives the reference's bits."""
+
+    @pytest.mark.parametrize("problem, pol", MC_PROBLEM_POLICIES)
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 50), (2, 7), (5, 300), (11, 200), (11, 226)])
+    def test_shapes_the_padded_table_took(self, problem, pol, k, n):
+        # width * n < _ENTRIES_PER_GROUP: one object used to take the table
+        assert k * n < regret._ENTRIES_PER_GROUP
+        rng = np.random.default_rng(k * 1000 + n)
+        nu, mu = random_history(rng, k), random_history(rng, 4)
+        assert_matches_reference(problem, pol, mu, [nu] * n, 5, n)
+
+    @pytest.mark.parametrize("problem, pol", MC_PROBLEM_POLICIES)
+    @pytest.mark.parametrize(
+        "k, n, compare", [(3, 3000, True), (11, 1500, True), (11, 1000, False), (10, 500, False)]
+    )
+    def test_compare_and_search_branches(self, problem, pol, k, n, compare):
+        # the branch the module's own switch takes; the forced regimes take both
+        assert (k * regret._COLUMNS_PER_COMPARE <= n) == compare
+        rng = np.random.default_rng(k + n)
+        nu, mu = random_history(rng, k), random_history(rng, 4)
+        assert_matches_reference(problem, pol, mu, [nu] * n, 3, k)
+
+    @pytest.mark.parametrize("problem, pol", MC_PROBLEM_POLICIES)
+    @pytest.mark.parametrize("n", [1, 9, 400, 3000])
+    def test_signed_zero_first_atom(self, monkeypatch, problem, pol, n):
+        nu = make_finite_measure([-0.0, 3.0, 7.0, 10.0], [0.4, 0.3, 0.2, 0.1], 10.0)
+        assert math.copysign(1.0, nu.support[0]) == -1.0
+        mu = make_finite_measure([0.0, 4.0, 8.0], [0.2, 0.5, 0.3], 10.0)
+        seen = []
+        monkeypatch.setattr(
+            regret, "apply_policy", lambda pol, p, m: seen.append(m) or apply_policy(pol, p, m)
+        )
+        monte_carlo_regret(problem, pol, mu, [nu] * n, 20, n)
+        zeros = [m.support[0] for m in seen if m.support[0] == 0.0]
+        assert zeros and all(math.copysign(1.0, z) == -1.0 for z in zeros)
+        monkeypatch.undo()
+        assert_matches_reference(problem, pol, mu, [nu] * n, 6, n)
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 11])
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_uniforms_on_a_cumsum_below_one(self, monkeypatch, k, n):
+        # Uniforms at, just below and just above each cumulative weight of
+        # one history whose cumsum rounds below 1, 0, and the largest double
+        # below 1, which lies above that cumsum: the last atom takes it.
+        rng = np.random.default_rng(k * n)
+        nu = random_history(rng, k, below_one=True)
+        cum = np.cumsum(nu.weights)
+        assert cum[-1] < 1.0
+        near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0]])
+        pool = np.append(near[near < 1.0], np.nextafter(1.0, 0.0))
+
+        def edge_generator(seed_seq):
+            t = seed_seq.spawn_key[0]
+            draws = pool[(np.arange(n) + t) % len(pool)]
+            return types.SimpleNamespace(random=lambda size: draws[:size])
+
+        monkeypatch.setattr(np.random, "default_rng", edge_generator)
+        p = ProblemSpec.newsvendor(2.0, 1.0, 10.0)
+        assert_matches_reference(p, SAA, random_history(rng, 4), [nu] * n, 9, 0)
+
+    @pytest.mark.parametrize("problem, pol", MC_PROBLEM_POLICIES)
+    def test_many_columns_of_one_object(self, problem, pol):
+        rng = np.random.default_rng(31)
+        if problem.kind is ProblemKind.SKI_RENTAL:
+            pts = np.arange(1.0, 11.0)
+        else:
+            pts = np.sort(rng.uniform(0.0, 10.0, size=60))
+        nu = make_finite_measure(pts.tolist(), rng.dirichlet(np.ones(len(pts))).tolist(), 10.0)
+        assert_matches_reference(problem, pol, random_history(rng, 5), [nu] * 20_000, 3, 8)
+
+    def test_union_built_only_for_several_histories(self, monkeypatch):
+        # one np.unique groups the ids; a second builds the union, and only
+        # for two or more distinct histories
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        rng = np.random.default_rng(2)
+        p = ProblemSpec.newsvendor(2.0, 1.0, 10.0)
+        mu, a, b = (random_history(rng, k) for k in (3, 4, 5))
+        for nus, want in (([a] * 50, 1), ([a] * 2000, 1), ([a, b] * 25, 2), ([a, b] * 1000, 2)):
+            calls.clear()
+            monte_carlo_regret(p, SAA, mu, nus, 3, 0)
+            assert len(calls) == want
 
 
 class TestExhaustiveTwoSample:
@@ -489,6 +570,53 @@ class TestResourceCaps:
             lambda: monte_carlo_regret(pair.problem, SAA, pair.mu, pair.nus, T, 0),
             f"trials = {T} exceeds the cap {MAX_TRIALS}",
         )
+
+    def test_histories(self):
+        pair = adversarial_instance("ski_k_saa_fail", dict(eps=0.01))
+        n = MAX_HISTORIES + 1
+        nus = pair.nus * n
+        assert_refused_unallocated(
+            lambda: monte_carlo_regret(pair.problem, SAA, pair.mu, nus, 3, 0),
+            f"n = {n} exceeds the cap {MAX_HISTORIES}",
+        )
+
+
+class TestMonteCarloArguments:
+    """Seeds and trial counts that monte_carlo_regret cannot honour are
+    refused by name before mu is costed."""
+
+    @pytest.fixture
+    def call(self):
+        pair = adversarial_instance("ski_k_saa_fail", dict(eps=0.01))
+
+        def call(trials, seed):
+            return monte_carlo_regret(pair.problem, SAA, pair.mu, pair.nus * 20, trials, seed)
+
+        return call
+
+    @pytest.mark.parametrize(
+        "seed, shown",
+        [(None, "None"), (True, "True"), (False, "False"), (-1, "-1"), (1.0, "1.0"),
+         ("3", "'3'"), (np.int64(-2), repr(np.int64(-2)))],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, call, seed, shown):
+        monkeypatch.setattr(regret, "opt_value", lambda *a: pytest.fail("mu costed"))
+        with pytest.raises(ValueError) as info:
+            call(3, seed)
+        assert str(info.value) == f"seed must be a non-negative integer, got {shown}"
+
+    @pytest.mark.parametrize(
+        "trials, shown", [(2.0, "2.0"), (True, "True"), (None, "None"), ("3", "'3'")]
+    )
+    def test_trials_must_be_an_integer(self, monkeypatch, call, trials, shown):
+        monkeypatch.setattr(regret, "opt_value", lambda *a: pytest.fail("mu costed"))
+        with pytest.raises(ValueError) as info:
+            call(trials, 0)
+        assert str(info.value) == f"trials must be an integer, got {shown}"
+
+    def test_numpy_integers_are_honoured(self, call):
+        assert call(np.int64(3), np.uint32(7)) == call(3, 7)
+        assert call(1, 0).seed == 0
 
 
 class TestAdversarialInstances:
